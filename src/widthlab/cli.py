@@ -16,7 +16,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -82,7 +81,7 @@ SCHEMAS = {
     },
 }
 
-COMMON_DEFAULTS = {"seed": 0, "out": ".", "threads": None, "plot": True}
+COMMON_DEFAULTS = {"seed": 0, "out": ".", "plot": True}
 
 
 def fmt(x):
@@ -117,16 +116,9 @@ def build_config(subcommand, file_config, flag_overrides):
             if key in schema:
                 config[key] = _coerce(key, value, schema[key][0])
             elif key in COMMON_DEFAULTS:
-                default = COMMON_DEFAULTS[key]
-                typ = type(default) if default is not None else int
-                if key == "out":
-                    typ = str
-                config[key] = _coerce(key, value, typ)
+                config[key] = _coerce(key, value, type(COMMON_DEFAULTS[key]))
             else:
                 raise ConfigError(f"unknown config key {key!r} for {subcommand!r}")
-    if config["threads"] is None:
-        env = os.environ.get("WIDTHLAB_THREADS")
-        config["threads"] = int(env) if env else 1
     return config
 
 
@@ -155,13 +147,6 @@ def _kernel_from_config(config):
     return MultiplierKernel(fam, truncation=config["truncation"])
 
 
-def _parallel_map(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def run_approx(config):
     _require(config, "n_list")
     kernel = _kernel_from_config(config)
@@ -170,20 +155,13 @@ def run_approx(config):
     n_list = [int(n) for n in config["n_list"]]
     seeds = np.random.SeedSequence(config["seed"]).spawn(len(n_list))
 
-    def one(idx_n):
-        idx, n = idx_n
-        if exact:
-            upper = en_exact_l2(kernel, n)
-        else:
-            upper = en_lower_search(
-                kernel, p, q, n, budget=config["budget"], seed=seeds[idx]
-            )
-        return upper
-
-    uppers = _parallel_map(one, list(enumerate(n_list)), config["threads"])
     rows = []
-    for n, upper in zip(n_list, uppers):
-        rows.append((n, "en_exact_l2" if exact else "en_lower_search", upper))
+    for n, seed in zip(n_list, seeds):
+        if exact:
+            rows.append((n, "en_exact_l2", en_exact_l2(kernel, n)))
+        else:
+            upper = en_lower_search(kernel, p, q, n, budget=config["budget"], seed=seed)
+            rows.append((n, "en_lower_search", upper))
         if config["family"] == "polylog" and n > 1:
             rows.append((n, "catalog_rate", math.log(n) ** (-gamma)))
     report = {
@@ -215,7 +193,7 @@ def run_widths(config):
             phi = float("nan")
         return est, phi, coordinate_subspace_bound(inst)
 
-    results = _parallel_map(one, n_list, config["threads"])
+    results = [one(n) for n in n_list]
     rows = []
     nonconverged = False
     for n, (est, phi, bound) in zip(n_list, results):
@@ -235,12 +213,10 @@ def run_pipeline(config):
     _require(config, "n_list")
     n_list = [int(n) for n in config["n_list"]]
 
-    def one(n):
-        return lower_bound_pipeline(
-            config["gamma"], config["p"], config["q"], n, m_override=config["m_override"]
-        )
-
-    reports = _parallel_map(one, n_list, config["threads"])
+    reports = [
+        lower_bound_pipeline(config["gamma"], config["p"], config["q"], n, m_override=config["m_override"])
+        for n in n_list
+    ]
     rows = []
     for rep in reports:
         rows.append((rep.n, "m_chosen", float(rep.m_chosen)))
@@ -282,10 +258,11 @@ def run_catalog(config):
 
 def run_fit(config):
     _require(config, "input")
-    points = []
     with open(config["input"], newline="") as fh:
-        for row in csv.DictReader(fh):
-            points.append((float(row["n"]), float(row["value"])))
+        try:
+            points = [(float(row["n"]), float(row["value"])) for row in csv.DictReader(fh)]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{config['input']}: fit needs numeric 'n' and 'value' columns") from exc
     model, residual = fit_rate(points)
     rows = [(n, "input", v) for n, v in points]
     rows += [(n, "fitted", float(model(n))) for n, _ in points]
@@ -310,11 +287,7 @@ def run_mz(config):
     cells = [(float(p), int(m)) for p in config["p_list"] for m in config["m_list"]]
     seeds = np.random.SeedSequence(config["seed"]).spawn(len(cells))
 
-    def one(idx):
-        p, m = cells[idx]
-        return mz_ratio_stats(m, p, config["trials"], seeds[idx])
-
-    results = _parallel_map(one, range(len(cells)), config["threads"])
+    results = [mz_ratio_stats(m, p, config["trials"], s) for (p, m), s in zip(cells, seeds)]
     rows = []
     constants = {}
     for (p, m), (lo, hi) in zip(cells, results):
@@ -385,7 +358,6 @@ def build_parser():
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--threads", type=int)
         sp.add_argument("--no-plot", action="store_true")
         for key, (typ, _) in schema.items():
             flag = "--" + key.replace("_", "-")
@@ -415,13 +387,12 @@ def main(argv=None):
                 raise ConfigError(f"config is not valid JSON: {exc}") from exc
         overrides = {
             key: getattr(args, key)
-            for key in list(SCHEMAS[subcommand]) + ["seed", "out", "threads"]
+            for key in list(SCHEMAS[subcommand]) + ["seed", "out"]
             if getattr(args, key, None) is not None
         }
         if args.no_plot:
             overrides["plot"] = False
         config = build_config(subcommand, file_config, overrides)
-        _require_any(config, subcommand)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -451,14 +422,6 @@ def main(argv=None):
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
     return exit_code
-
-
-def _require_any(config, subcommand):
-    """Early validation that fails before any files are touched."""
-    schema = SCHEMAS[subcommand]
-    for key, (typ, default) in schema.items():
-        if typ is list and isinstance(config.get(key), list) and not config[key]:
-            raise ConfigError(f"{key!r} must be nonempty")
 
 
 if __name__ == "__main__":

@@ -188,19 +188,31 @@ def eval_poly(t, x):
     return t.a0 + np.cos(kx) @ t.a + np.sin(kx) @ t.b
 
 
+def synthesize_rows(coeffs, n_grid):
+    """Sample coefficient rows (a0, a_1..a_m, b_1..b_m) on a uniform grid.
+
+    The rows lie along the last axis; any leading axes are batch axes and
+    are kept in the output, which has n_grid samples per row.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    m = (coeffs.shape[-1] - 1) // 2
+    if n_grid < 2 * m + 1:
+        raise GridTooCoarseError(f"grid of {n_grid} points cannot resolve degree {m}")
+    # Inverse FFT of the half-complex spectrum: c_0 = a0, c_k = (a_k - i b_k)/2.
+    spec = np.zeros(coeffs.shape[:-1] + (n_grid // 2 + 1,), dtype=complex)
+    spec[..., 0] = coeffs[..., 0]
+    spec[..., 1 : m + 1] = 0.5 * (coeffs[..., 1 : m + 1] - 1j * coeffs[..., m + 1 :])
+    # Scaled in place: a scaled copy would hold a second spectrum-sized
+    # buffer during the transform.
+    spec *= n_grid
+    return np.fft.irfft(spec, n=n_grid, axis=-1)
+
+
 def synthesize(t, n_grid=None):
     """Sample t on a uniform grid (default fine enough for exact round trips)."""
     if n_grid is None:
         n_grid = default_grid_size(t.degree)
-    if n_grid < 2 * t.degree + 1:
-        raise GridTooCoarseError(
-            f"grid of {n_grid} points cannot resolve degree {t.degree}"
-        )
-    # Inverse FFT of the half-complex spectrum: c_0 = a0, c_k = (a_k - i b_k)/2.
-    spec = np.zeros(n_grid // 2 + 1, dtype=complex)
-    spec[0] = t.a0
-    spec[1 : t.degree + 1] = 0.5 * (t.a - 1j * t.b)
-    return GridFunction(np.fft.irfft(spec * n_grid, n=n_grid))
+    return GridFunction(synthesize_rows(t.coeff_vector(), n_grid))
 
 
 def default_grid_size(degree):
@@ -217,9 +229,6 @@ def analyze(f, m):
     a0 = spec[0].real
     a = 2.0 * spec[1 : m + 1].real
     b = -2.0 * spec[1 : m + 1].imag
-    if m > len(spec) - 1:  # unreachable given the guard, but keep shapes honest
-        a = np.pad(a, (0, m - len(a)))
-        b = np.pad(b, (0, m - len(b)))
     return TrigPoly(a0, a, b)
 
 
@@ -266,27 +275,10 @@ def convolve(kernel_samples, phi):
     return GridFunction(out / n)
 
 
-_CONV_CONST = None
-
-
 def convolution_constant():
     """Ratio of convolution coefficients to the raw multiplier action.
 
-    The value is fixed once by quadrature over a few independent harmonics and
-    asserted to be a single constant (it is 1/2 under the unnormalized norm).
+    Convolving with cos(kx - theta) integrates cos^2 to pi over a period,
+    against the convolution's 1/2pi, so every coefficient comes out halved.
     """
-    global _CONV_CONST
-    if _CONV_CONST is None:
-        ratios = []
-        for k, beta, lam in [(1, 0.0, 1.0), (2, 0.0, 0.7), (3, 1.0, 1.3)]:
-            kern = MultiplierKernel(Table(np.eye(1, k, k - 1)[0] * lam), beta=beta)
-            phi = TrigPoly.harmonic(k, cos_amp=1.0, sin_amp=0.4)
-            grid = default_grid_size(k)
-            conv = analyze(convolve(synthesize_kernel(kern, grid), synthesize(phi, grid)), k)
-            mult = apply_multiplier(kern, phi)
-            ratios.append(conv.a[k - 1] / mult.a[k - 1])
-            ratios.append(conv.b[k - 1] / mult.b[k - 1])
-        ratios = np.asarray(ratios)
-        assert np.allclose(ratios, ratios[0], rtol=1e-12, atol=1e-13), ratios
-        _CONV_CONST = float(ratios[0])
-    return _CONV_CONST
+    return 0.5

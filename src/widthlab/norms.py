@@ -14,7 +14,7 @@ from .errors import (
     InvalidExponentError,
     NonconvergenceError,
 )
-from .fourier import GridFunction, TrigPoly, analyze, eval_poly, synthesize
+from .fourier import GridFunction, TrigPoly, analyze, eval_poly, synthesize_rows
 
 QUADRATURE_TOL = 1e-10
 QUADRATURE_CAP = 2**16
@@ -22,34 +22,45 @@ IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 500
 
 
+def _trapezoid_lp(samples, p):
+    """Trapezoidal L_p norms over [0, 2pi) of the samples along the last axis."""
+    n = samples.shape[-1]
+    return (2.0 * np.pi / n * np.sum(np.abs(samples) ** p, axis=-1)) ** (1.0 / p)
+
+
 def lp_norm(f, p):
     """Trapezoidal L_p norm of a grid function over [0, 2pi)."""
     if p < 1:
         raise InvalidExponentError(f"p must be >= 1, got {p}")
-    n = f.size
-    return float((2.0 * np.pi / n * np.sum(np.abs(f.samples) ** p)) ** (1.0 / p))
+    return float(_trapezoid_lp(f.samples, p))
 
 
-def poly_lp_norm(t, p, tol=QUADRATURE_TOL):
-    """L_p norm of a trigonometric polynomial, refining the grid until stable.
+def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
+    """L_p norms of coefficient rows (a0, a, b), refining a shared grid until stable.
 
-    |t|^p is not band-limited for non-even p, so the grid is doubled until the
-    norm stops moving (cap 2^16 points).
+    |t|^p is not band-limited for non-even p, so the grid is doubled until no
+    row's norm moves by more than tol relative (cap 2^16 points).
     """
-    if p < 1:
-        raise InvalidExponentError(f"p must be >= 1, got {p}")
-    n_grid = max(256, 4 * (t.degree + 1))
-    prev = lp_norm(synthesize(t, n_grid), p)
-    # Even integer p: |t|^p is itself a trig polynomial, first grid is exact.
-    if p == int(p) and int(p) % 2 == 0 and n_grid > p * t.degree:
+    m = (coeffs.shape[-1] - 1) // 2
+    n_grid = max(256, 4 * (m + 1))
+    prev = _trapezoid_lp(synthesize_rows(coeffs, n_grid), p)
+    # Even integer p: |t|^p is itself a trig polynomial of degree p*m.
+    if p == int(p) and int(p) % 2 == 0 and n_grid > p * m:
         return prev
     while n_grid < QUADRATURE_CAP:
         n_grid *= 2
-        cur = lp_norm(synthesize(t, n_grid), p)
-        if abs(cur - prev) <= tol * max(abs(cur), 1.0):
+        cur = _trapezoid_lp(synthesize_rows(coeffs, n_grid), p)
+        if np.all(np.abs(cur - prev) <= tol * cur):
             return cur
         prev = cur
     return prev
+
+
+def poly_lp_norm(t, p, tol=QUADRATURE_TOL):
+    """L_p norm of a trigonometric polynomial by grid-refined quadrature."""
+    if p < 1:
+        raise InvalidExponentError(f"p must be >= 1, got {p}")
+    return float(_quadrature_lp(t.coeff_vector(), p, tol))
 
 
 def _design_matrix(x, n):
@@ -130,6 +141,15 @@ class DiscretizedPoly:
         return float(self.scale * np.sum(np.abs(self.values) ** self.p) ** (1.0 / self.p))
 
 
+def _mz_values(coeffs, m):
+    """Coefficient rows (a0, a, b) evaluated at 2pi k/(2m+1), k = 1..2m+1."""
+    degree = (coeffs.shape[-1] - 1) // 2
+    points = 2.0 * np.pi * np.arange(1, 2 * m + 2) / (2 * m + 1)
+    kx = np.multiply.outer(points, np.arange(1, degree + 1))
+    a0, a, b = coeffs[..., :1], coeffs[..., 1 : degree + 1], coeffs[..., degree + 1 :]
+    return a0 + a @ np.cos(kx).T + b @ np.sin(kx).T
+
+
 def mz_sample(t, p, degree=None):
     """Sample t on the 2m+1 equispaced points used by the two-sided l_p comparison."""
     m = t.degree if degree is None else degree
@@ -137,8 +157,7 @@ def mz_sample(t, p, degree=None):
         raise InvalidExponentError("sampling needs degree m >= 1")
     if not 1.0 < p < np.inf:
         raise InvalidExponentError(f"p must lie in (1, inf), got {p}")
-    points = 2.0 * np.pi * np.arange(1, 2 * m + 2) / (2 * m + 1)
-    return DiscretizedPoly(eval_poly(t, points), float(m ** (-1.0 / p)), p)
+    return DiscretizedPoly(_mz_values(t.coeff_vector(), m), float(m ** (-1.0 / p)), p)
 
 
 def _random_unit_polys(m, trials, rng):
@@ -156,38 +175,8 @@ def mz_ratio_stats(m, p, trials, seed):
     """
     if trials < 1:
         raise InvalidExponentError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    coeffs = _random_unit_polys(m, trials, rng)
-    a0 = coeffs[:, 0]
-    a = coeffs[:, 1 : m + 1]
-    b = coeffs[:, m + 1 :]
-
-    # Discrete side, all trials at once.
-    points = 2.0 * np.pi * np.arange(1, 2 * m + 2) / (2 * m + 1)
-    k = np.arange(1, m + 1)
-    kx = np.multiply.outer(points, k)
-    values = a0[:, None] + a @ np.cos(kx).T + b @ np.sin(kx).T
+    coeffs = _random_unit_polys(m, trials, np.random.default_rng(seed))
+    values = _mz_values(coeffs, m)
     discrete = m ** (-1.0 / p) * np.sum(np.abs(values) ** p, axis=1) ** (1.0 / p)
-
-    # Continuous side on a doubling grid shared by the whole batch.
-    n_grid = max(256, 4 * (m + 1))
-    prev = _batch_lp_norms(a0, a, b, n_grid, p)
-    if not (p == int(p) and int(p) % 2 == 0):
-        while n_grid < QUADRATURE_CAP:
-            n_grid *= 2
-            cur = _batch_lp_norms(a0, a, b, n_grid, p)
-            if np.max(np.abs(cur - prev) / np.maximum(cur, 1e-300)) <= QUADRATURE_TOL:
-                prev = cur
-                break
-            prev = cur
-    ratios = discrete / prev
+    ratios = discrete / _quadrature_lp(coeffs, p)
     return float(np.min(ratios)), float(np.max(ratios))
-
-
-def _batch_lp_norms(a0, a, b, n_grid, p):
-    m = a.shape[1]
-    spec = np.zeros((len(a0), n_grid // 2 + 1), dtype=complex)
-    spec[:, 0] = a0
-    spec[:, 1 : m + 1] = 0.5 * (a - 1j * b)
-    samples = np.fft.irfft(spec * n_grid, n=n_grid, axis=1)
-    return (2.0 * np.pi / n_grid * np.sum(np.abs(samples) ** p, axis=1)) ** (1.0 / p)

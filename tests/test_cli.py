@@ -32,11 +32,14 @@ class TestBuildConfig:
         config = build_config("pipeline", {}, {"n_list": ["8", "16"]})
         assert config["n_list"] == [8, 16]
 
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("WIDTHLAB_THREADS", "3")
-        assert build_config("mz", {}, {})["threads"] == 3
-        monkeypatch.delenv("WIDTHLAB_THREADS")
-        assert build_config("mz", {}, {})["threads"] == 1
+    def test_threads_option_removed(self, monkeypatch):
+        monkeypatch.setenv("WIDTHLAB_THREADS", "abc")
+        assert "threads" not in build_config("mz", {}, {})
+        with pytest.raises(ConfigError):
+            build_config("mz", {"threads": 2}, {})
+        with pytest.raises(SystemExit) as exc:
+            main(["mz", "--threads", "2"])
+        assert exc.value.code == 2
 
 
 class TestPipelineCommand:
@@ -170,6 +173,12 @@ class TestFitCommand:
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert run(["fit", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 4
 
+    def test_csv_without_n_value_columns_is_config_error(self, tmp_path):
+        mz_out, out = tmp_path / "mz", tmp_path / "fit"
+        assert run(["mz", "--p-list", "2", "--m-list", "4", "--trials", "5", "--out", str(mz_out)]) == 0
+        assert run(["fit", "--input", str(mz_out / "results.csv"), "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestMzCommand:
     def test_schema_and_determinism(self, tmp_path):
@@ -184,13 +193,6 @@ class TestMzCommand:
         for row in rows:
             if row["quantity"] == "min_ratio":
                 assert float(row["value"]) > 0
-
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        args = ["mz", "--p-list", "3.0", "--m-list", "4", "8", "--trials", "10"]
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert run(args + ["--threads", "1", "--out", str(out_a)]) == 0
-        assert run(args + ["--threads", "4", "--out", str(out_b)]) == 0
-        assert read(out_a / "results.csv") == read(out_b / "results.csv")
 
 
 class TestWidthsCommand:

@@ -14,7 +14,7 @@ from widthlab import (
     poly_lp_norm,
     synthesize,
 )
-from widthlab.norms import DiscretizedPoly
+from widthlab.norms import DiscretizedPoly, _random_unit_polys
 
 
 def random_poly(rng, degree):
@@ -123,6 +123,19 @@ class TestMzRatioStats:
 
     def test_deterministic(self):
         assert mz_ratio_stats(1, 2.5, 1, seed=77) == mz_ratio_stats(1, 2.5, 1, seed=77)
+
+    @pytest.mark.parametrize("m", [64, 128])
+    def test_even_p_matches_exact_grid(self, m):
+        # |t|^6 has degree 6m < 1024, so a 1024-point grid integrates it exactly.
+        p, trials, seed = 6.0, 20, 5
+        coeffs = _random_unit_polys(m, trials, np.random.default_rng(seed))
+        ratios = []
+        for c in coeffs:
+            t = TrigPoly(c[0], c[1 : m + 1], c[m + 1 :])
+            ratios.append(mz_sample(t, p).scaled_lp_norm() / lp_norm(synthesize(t, 1024), p))
+        lo, hi = mz_ratio_stats(m, p, trials, seed)
+        assert lo == pytest.approx(min(ratios), rel=1e-12)
+        assert hi == pytest.approx(max(ratios), rel=1e-12)
 
     def test_p3_spread_bounded_across_degrees(self):
         spreads = []
