@@ -15,6 +15,7 @@ from .errors import (
     DimensionGuardError,
     GridMismatchError,
     GridTooCoarseError,
+    InvalidDimensionError,
     InvalidExponentError,
     NonconvergenceError,
     OutOfBranchError,

@@ -91,12 +91,20 @@ def fmt(x):
     return str(x)
 
 
+# List keys whose entries are degrees or dimensions.
+INTEGER_LISTS = ("n_list", "m_list")
+
+
 def _coerce(key, value, typ):
     try:
         if typ is list:
             if isinstance(value, str):
                 value = [v for v in value.replace(",", " ").split() if v]
-            return [float(v) if "." in str(v) or "e" in str(v) else int(v) for v in value]
+            values = [float(v) if "." in str(v) or "e" in str(v) else int(v) for v in value]
+            # float.is_integer() is False for inf and nan as well.
+            if key in INTEGER_LISTS and not all(isinstance(v, int) or v.is_integer() for v in values):
+                raise ConfigError(f"{key!r} entries must be integers, got {value!r}")
+            return values
         if typ is bool and isinstance(value, str):
             return value.lower() in ("1", "true", "yes")
         return typ(value)

@@ -48,5 +48,9 @@ class NonconvergenceError(WidthlabError):
         self.diagnostics = diagnostics or {}
 
 
+class InvalidDimensionError(WidthlabError):
+    """Dimension or subspace size outside the range a problem is defined for."""
+
+
 class DimensionGuardError(WidthlabError):
     """Brute-force width requested above the desk-scale dimension guard."""

@@ -18,6 +18,9 @@ from .fourier import GridFunction, TrigPoly, analyze, eval_poly, synthesize_rows
 
 QUADRATURE_TOL = 1e-10
 QUADRATURE_CAP = 2**16
+# Most samples synthesized at once: 16 rows of the capped grid.  The FFT
+# vectorises across rows; blocks of 1-4 such rows ran 35-55% slower.
+QUADRATURE_BLOCK = 2**20
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 500
 
@@ -35,21 +38,43 @@ def lp_norm(f, p):
     return float(_trapezoid_lp(f.samples, p))
 
 
+def _grid_lp(coeffs, n_grid, p):
+    """Trapezoidal L_p norms of coefficient rows (a0, a, b) on an n_grid-point grid.
+
+    Rows are synthesized in blocks of whole rows holding at most
+    QUADRATURE_BLOCK samples, which bounds the memory of large batches.  Each
+    row's transform and sum are independent of the other rows, so the norms
+    do not depend on the blocking.
+    """
+    rows = coeffs.reshape(-1, coeffs.shape[-1])
+    step = max(1, QUADRATURE_BLOCK // n_grid)
+    blocks = [
+        _trapezoid_lp(synthesize_rows(rows[i : i + step], n_grid), p)
+        for i in range(0, len(rows), step)
+    ]
+    return np.concatenate(blocks).reshape(coeffs.shape[:-1])
+
+
 def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
     """L_p norms of coefficient rows (a0, a, b), refining a shared grid until stable.
 
     |t|^p is not band-limited for non-even p, so the grid is doubled until no
-    row's norm moves by more than tol relative (cap 2^16 points).
+    row's norm moves by more than tol relative (cap 2^16 points).  For even
+    integer p it is a trig polynomial, and one exact grid suffices.
     """
     m = (coeffs.shape[-1] - 1) // 2
     n_grid = max(256, 4 * (m + 1))
-    prev = _trapezoid_lp(synthesize_rows(coeffs, n_grid), p)
-    # Even integer p: |t|^p is itself a trig polynomial of degree p*m.
-    if p == int(p) and int(p) % 2 == 0 and n_grid > p * m:
-        return prev
+    # Even integer p: |t|^p has degree p*m, so the first grid with more than
+    # p*m points integrates it exactly (below the cap, which bounds the work
+    # for huge p).
+    if p == int(p) and int(p) % 2 == 0:
+        while n_grid <= p * m and n_grid < QUADRATURE_CAP:
+            n_grid *= 2
+        return _grid_lp(coeffs, n_grid, p)
+    prev = _grid_lp(coeffs, n_grid, p)
     while n_grid < QUADRATURE_CAP:
         n_grid *= 2
-        cur = _trapezoid_lp(synthesize_rows(coeffs, n_grid), p)
+        cur = _grid_lp(coeffs, n_grid, p)
         if np.all(np.abs(cur - prev) <= tol * cur):
             return cur
         prev = cur
@@ -150,13 +175,17 @@ def _mz_values(coeffs, m):
     return a0 + a @ np.cos(kx).T + b @ np.sin(kx).T
 
 
-def mz_sample(t, p, degree=None):
-    """Sample t on the 2m+1 equispaced points used by the two-sided l_p comparison."""
-    m = t.degree if degree is None else degree
+def _check_mz(m, p):
     if m < 1:
         raise InvalidExponentError("sampling needs degree m >= 1")
     if not 1.0 < p < np.inf:
         raise InvalidExponentError(f"p must lie in (1, inf), got {p}")
+
+
+def mz_sample(t, p, degree=None):
+    """Sample t on the 2m+1 equispaced points used by the two-sided l_p comparison."""
+    m = t.degree if degree is None else degree
+    _check_mz(m, p)
     return DiscretizedPoly(_mz_values(t.coeff_vector(), m), float(m ** (-1.0 / p)), p)
 
 
@@ -173,6 +202,7 @@ def mz_ratio_stats(m, p, trials, seed):
     Deterministic given the seed; brackets the two-sided sampling constants
     empirically for one (m, p) cell.
     """
+    _check_mz(m, p)
     if trials < 1:
         raise InvalidExponentError("trials must be >= 1")
     coeffs = _random_unit_polys(m, trials, np.random.default_rng(seed))

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DegenerateDataError, InvalidExponentError, UncoveredRegimeError
 
@@ -274,6 +273,10 @@ def fit_rate(points):
     ties: a richer family is chosen only when it beats the simpler one's
     residual by a factor of 10.
     """
+    # Imported here, not at module scope: only fitting needs scipy, and
+    # loading it would add most of the CLI's start-up time to every run.
+    from scipy.optimize import minimize_scalar
+
     pts = sorted(points)
     if len(pts) < FIT_MIN_POINTS:
         raise DegenerateDataError(f"need at least {FIT_MIN_POINTS} points, got {len(pts)}")

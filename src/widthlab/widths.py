@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionGuardError, InvalidExponentError, OutOfBranchError
+from .errors import (
+    DimensionGuardError,
+    InvalidDimensionError,
+    InvalidExponentError,
+    OutOfBranchError,
+)
 
 DESK_SCALE_MAX_DIM = 8
 
@@ -31,7 +36,7 @@ class BallWidthInstance:
 
     def __post_init__(self):
         if not 0 <= self.n <= self.m:
-            raise ValueError(f"need 0 <= n <= m, got n={self.n}, m={self.m}")
+            raise InvalidDimensionError(f"need 0 <= n <= m, got n={self.n}, m={self.m}")
         if self.p < 1 or self.q < 1:
             raise InvalidExponentError("exponents must be >= 1")
 

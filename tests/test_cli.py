@@ -2,9 +2,12 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import widthlab
 from widthlab.cli import build_config, main
 from widthlab.errors import ConfigError
 
@@ -40,6 +43,38 @@ class TestBuildConfig:
         with pytest.raises(SystemExit) as exc:
             main(["mz", "--threads", "2"])
         assert exc.value.code == 2
+
+
+class TestListValues:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["approx", "--n-list", "1e400"],
+            ["pipeline", "--n-list", "1e400"],
+            ["widths", "--m", "3", "--n-list", "-1"],
+        ],
+        ids=["approx-inf", "pipeline-inf", "widths-negative"],
+    )
+    def test_bad_entry_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(args + ["--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integral_degree_rejected(self):
+        with pytest.raises(ConfigError):
+            build_config("mz", {"m_list": [4, 2.5]}, {})
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(widthlab.__file__))
+        code = "import sys, widthlab.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
 
 
 class TestPipelineCommand:
@@ -193,6 +228,16 @@ class TestMzCommand:
         for row in rows:
             if row["quantity"] == "min_ratio":
                 assert float(row["value"]) > 0
+
+
+    @pytest.mark.parametrize(
+        "args", [["--p-list", "0.5", "--m-list", "4"], ["--m-list", "0"]], ids=["p-below-1", "m-zero"]
+    )
+    def test_out_of_range_cell_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(["mz", *args, "--trials", "5", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestWidthsCommand:

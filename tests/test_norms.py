@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthlab import (
     InvalidExponentError,
@@ -14,7 +16,17 @@ from widthlab import (
     poly_lp_norm,
     synthesize,
 )
-from widthlab.norms import DiscretizedPoly, _random_unit_polys
+from widthlab import norms
+from widthlab.fourier import synthesize_rows
+from widthlab.norms import (
+    QUADRATURE_BLOCK,
+    QUADRATURE_CAP,
+    DiscretizedPoly,
+    _grid_lp,
+    _quadrature_lp,
+    _random_unit_polys,
+    _trapezoid_lp,
+)
 
 
 def random_poly(rng, degree):
@@ -47,6 +59,41 @@ class TestLpNorm:
                 lo = poly_lp_norm(t, p)
                 hi = poly_lp_norm(t, q)
                 assert lo <= (2 * math.pi) ** (1 / p - 1 / q) * hi * (1 + 1e-10)
+
+
+class TestQuadrature:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_grid=st.sampled_from([256, 260, 1040, 4096, 2**16, 66560]),
+        degree=st.integers(1, 127),
+        extra_rows=st.integers(1, 4096),
+        p=st.floats(1.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_norms_equal_whole_batch(self, n_grid, degree, extra_rows, p, seed):
+        # One full block plus part of another, so every batch is split.
+        block_rows = QUADRATURE_BLOCK // n_grid
+        rows = block_rows + 1 + extra_rows % block_rows
+        coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
+        whole = _trapezoid_lp(synthesize_rows(coeffs, n_grid), p)
+        assert np.array_equal(_grid_lp(coeffs, n_grid, p), whole)
+
+    # m = 64, p = 6: the start grid 4(m+1) = 260 is below 6m = 384, and 520
+    # is the first grid on the doubling ladder that integrates |t|^6 exactly.
+    # m = 4, p = 2^20: the exact grid lies beyond the cap, which stops the ladder.
+    @pytest.mark.parametrize("m, p, grid", [(64, 6.0, 520), (4, 2.0**20, QUADRATURE_CAP)])
+    def test_even_p_transforms_one_grid(self, monkeypatch, m, p, grid):
+        grids = []
+
+        def recording(coeffs, n_grid):
+            grids.append(n_grid)
+            return synthesize_rows(coeffs, n_grid)
+
+        monkeypatch.setattr(norms, "synthesize_rows", recording)
+        # Scaled so that |t|^(2^20) underflows to 0 instead of overflowing.
+        coeffs = 0.1 * _random_unit_polys(m, 8, np.random.default_rng(5))
+        _quadrature_lp(coeffs, p)
+        assert grids == [grid]
 
 
 class TestBestApprox:
@@ -123,6 +170,11 @@ class TestMzRatioStats:
 
     def test_deterministic(self):
         assert mz_ratio_stats(1, 2.5, 1, seed=77) == mz_ratio_stats(1, 2.5, 1, seed=77)
+
+    @pytest.mark.parametrize("m, p", [(0, 2.0), (4, 0.5), (4, 1.0), (4, math.inf)])
+    def test_rejects_m_and_p_outside_range(self, m, p):
+        with pytest.raises(InvalidExponentError):
+            mz_ratio_stats(m, p, 5, seed=0)
 
     @pytest.mark.parametrize("m", [64, 128])
     def test_even_p_matches_exact_grid(self, m):
