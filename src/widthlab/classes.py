@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutOfBranchError, TruncationExceededError
+from .errors import InvalidDimensionError, OutOfBranchError, TruncationExceededError
 from .fourier import (
     MultiplierKernel,
     PolyLog,
@@ -27,12 +27,18 @@ logger = logging.getLogger(__name__)
 M_CAP = 10**6
 
 
+def _check_degree(n):
+    if n < 0:
+        raise InvalidDimensionError(f"need degree n >= 0, got n={n}")
+
+
 def en_exact_l2(kernel, n):
     """Worst-case L_2 error of the degree-n partial sum over K * U_2.
 
     Equals the convolution constant times the largest coefficient beyond
     degree n (for nonincreasing coefficients that is lambda_{n+1}).
     """
+    _check_degree(n)
     if n >= kernel.truncation:
         raise TruncationExceededError(
             f"n={n} not below kernel truncation {kernel.truncation}"
@@ -48,6 +54,7 @@ def en_lower_search(kernel, p, q, n, budget=100, seed=0):
     unit L_p norm: single harmonics beyond degree n, random polynomials, and
     perturbation-improved candidates.  Deterministic given the seed.
     """
+    _check_degree(n)
     rng = np.random.default_rng(seed)
     const = convolution_constant()
     degree = min(max(2 * n, n + 8), kernel.truncation)

@@ -91,8 +91,10 @@ def fmt(x):
     return str(x)
 
 
-# List keys whose entries are degrees or dimensions.
+# List keys whose entries are degrees or dimensions, and the largest entry
+# numpy can size an array by.
 INTEGER_LISTS = ("n_list", "m_list")
+MAX_LIST_ENTRY = int(np.iinfo(np.intp).max)
 
 
 def _coerce(key, value, typ):
@@ -102,8 +104,11 @@ def _coerce(key, value, typ):
                 value = [v for v in value.replace(",", " ").split() if v]
             values = [float(v) if "." in str(v) or "e" in str(v) else int(v) for v in value]
             # float.is_integer() is False for inf and nan as well.
-            if key in INTEGER_LISTS and not all(isinstance(v, int) or v.is_integer() for v in values):
-                raise ConfigError(f"{key!r} entries must be integers, got {value!r}")
+            if key in INTEGER_LISTS:
+                if not all(isinstance(v, int) or v.is_integer() for v in values):
+                    raise ConfigError(f"{key!r} entries must be integers, got {value!r}")
+                if any(abs(v) > MAX_LIST_ENTRY for v in values):
+                    raise ConfigError(f"{key!r} entries must not exceed {MAX_LIST_ENTRY} in size")
             return values
         if typ is bool and isinstance(value, str):
             return value.lower() in ("1", "true", "yes")
@@ -184,6 +189,8 @@ def run_widths(config):
     _require(config, "m", "n_list")
     m, p, q = config["m"], config["p"], config["q"]
     n_list = [int(n) for n in config["n_list"]]
+    if config["restarts"] < 1 or min(config[k] for k in ("inner_starts", "final_starts", "max_iter")) < 0:
+        raise ConfigError("widths needs restarts >= 1 and inner_starts, final_starts, max_iter >= 0")
 
     def one(n):
         inst = BallWidthInstance(m, n, p, q)
@@ -203,16 +210,19 @@ def run_widths(config):
 
     results = [one(n) for n in n_list]
     rows = []
-    nonconverged = False
     for n, (est, phi, bound) in zip(n_list, results):
         rows.append((n, "bruteforce_width", est.value))
         rows.append((n, "phi_order", phi))
         rows.append((n, "coordinate_bound", bound))
-        nonconverged = nonconverged or not est.diagnostics.get("converged", True)
+    # Per n: converged, and each restart's stop ('stationary' or 'max_iter');
+    # closed-form cells (n = 0, n = m) have no restarts.
+    converged = [est.diagnostics.get("converged", True) for est, _, _ in results]
     report = {
         "direction": "upper-bound",
-        "nonconverged": nonconverged,
+        "nonconverged": not all(converged),
         "medians": [est.diagnostics.get("median") for est, _, _ in results],
+        "converged": converged,
+        "stops": [est.diagnostics.get("stops", []) for est, _, _ in results],
     }
     return rows, ("n", "quantity", "value"), report, _series_from_rows(rows)
 

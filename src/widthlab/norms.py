@@ -83,8 +83,8 @@ def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
 
 def poly_lp_norm(t, p, tol=QUADRATURE_TOL):
     """L_p norm of a trigonometric polynomial by grid-refined quadrature."""
-    if p < 1:
-        raise InvalidExponentError(f"p must be >= 1, got {p}")
+    if not 1 <= p < np.inf:
+        raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
     return float(_quadrature_lp(t.coeff_vector(), p, tol))
 
 

@@ -1,13 +1,26 @@
 """Kolmogorov widths of l_p balls in l_q: the two-branch closed-form order
 estimate and a desk-scale brute-force optimizer over subspaces.
 
-The brute-force path parametrizes an n-dimensional subspace by an
-orthonormalized m x n frame and runs multi-restart subgradient descent on
-sup_{x in bd B_p} dist_q(x, span A).  The supremum of a convex function over
-the ball sits at extreme points, so the inner maximization works from the
-+-e_i vertices and random boundary points with projected ascent.  The
-coordinate frame is always among the restarts, which keeps the result at or
-below the explicit coordinate-subspace bound.
+The brute-force path runs multi-restart descent over n-dimensional subspaces
+V of R^m on the worst-case distance sup_{x in B_p} dist_q(x, V).
+
+- p = 1: V is an orthonormalized m x n frame.  The distance is convex, so the
+  supremum sits at the +-e_i vertices, each measured by a small l_q
+  regression.
+- p > 1: by the Kolmogorov-Gelfand duality (Pinkus, n-Widths in
+  Approximation Theory, 1985, ch. II)
+
+      sup_{x in B_p} dist_q(x, V) = max_{0 != y in V^perp} ||y||_{p'} / ||y||_{q'},
+
+  so V is carried by an orthonormal m x (m - n) frame W of its complement,
+  and the inner supremum is a ratio of two norms over span W, maximized by
+  projected gradient ascent from the rows of W and random directions.  At
+  p = q the ratio is identically 1.
+
+The coordinate subspace is always among the candidates, which keeps the
+result at or below the explicit coordinate-subspace bound.  An ascent can
+only underestimate a supremum, so the value is a proven upper bound where
+the inner problem is solved exactly: p = 1, p = q, or m - n = 1.
 """
 
 import math
@@ -23,6 +36,10 @@ from .errors import (
 )
 
 DESK_SCALE_MAX_DIM = 8
+# Projected-ascent steps of the dual inner maximization, during the descent
+# and in each restart's final evaluation.
+ASCENT_STEPS = 40
+FINAL_ASCENT_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -81,40 +98,12 @@ def coordinate_subspace_bound(inst):
     return 1.0
 
 
-def _normalize_rows_p(x, p):
-    norms = np.sum(np.abs(x) ** p, axis=1) ** (1.0 / p)
-    return x / norms[:, None]
-
-
-def _dists_and_grads(frame, x, q, c0=None, max_iter=80):
-    """l_q distances from rows of x to span(frame), plus gradients in x.
-
-    frame has orthonormal columns.  Returns (dists, grads, coeffs) where grads
-    are the envelope-theorem gradients of the distance at the optimal
-    coefficients; pass the previous coefficients back in as c0 to warm-start.
-    """
-    if frame.shape[1] == 0:
-        resid = x
-        coeffs = np.zeros((len(x), 0))
-    elif q == 2.0:
-        coeffs = x @ frame
-        resid = x - coeffs @ frame.T
-    else:
-        coeffs = _lq_regress(frame, x, q, c0=c0, max_iter=max_iter)
-        resid = x - coeffs @ frame.T
-    absr = np.abs(resid)
-    dists = np.sum(absr**q, axis=1) ** (1.0 / q)
-    safe = np.maximum(dists, 1e-30)[:, None]
-    grads = np.sign(resid) * (absr / safe) ** (q - 1.0)
-    return dists, grads, coeffs
-
-
-def _lq_regress(frame, x, q, c0=None, tol=1e-11, max_iter=80):
+def _lq_regress(frame, x, q, tol=1e-11, max_iter=200):
     """Batched IRLS for min_c ||x_i - frame c_i||_q over every row of x.
 
     Damping 1/(q-1) keeps the q > 2 iteration contractive.
     """
-    c = x @ frame if c0 is None else c0.copy()
+    c = x @ frame
     eps = 1e-12 * max(1.0, float(np.max(np.abs(x))))
     damping = 1.0 if q <= 2.0 else 1.0 / (q - 1.0)
     for _ in range(max_iter):
@@ -130,48 +119,109 @@ def _lq_regress(frame, x, q, c0=None, tol=1e-11, max_iter=80):
     return c
 
 
-def _sup_over_ball(frame, m, p, q, rng, n_random, ascent_iters=12):
-    """Estimate sup over bd B_p^m of the l_q distance to span(frame).
+def _vertex_sup(frame, q):
+    """Sup over B_1^m of the l_q distance to span(frame), with the worst vertex
+    and the distance gradient there.
 
-    Exact for p = 1 (only the +-e_i vertices matter); otherwise projected
-    ascent from the vertices plus random boundary points.  Never exceeds the
-    true supremum (every iterate is feasible).
+    Exact: the distance is convex, so only the +-e_i vertices matter.  frame
+    has orthonormal columns; the gradient is the envelope-theorem gradient at
+    the optimal coefficients.
     """
-    vertices = np.eye(m)
-    if p == 2.0 and q == 2.0:
-        # Exact: the worst unit vector is the top right singular vector of the
-        # complement projector.
-        resid_proj = np.eye(m) - frame @ frame.T
-        _, s, vt = np.linalg.svd(resid_proj)
-        x_best = vt[0]
-        resid = resid_proj @ x_best
-        norm = max(float(np.linalg.norm(resid)), 1e-300)
-        return float(s[0]), x_best, resid / norm
-    if p == 1.0:
-        dists, grads, _ = _dists_and_grads(frame, vertices, q, max_iter=200)
-        best = int(np.argmax(dists))
-        return float(dists[best]), vertices[best], grads[best]
-    starts = [vertices]
-    if n_random > 0:
-        starts.append(_normalize_rows_p(rng.standard_normal((n_random, m)), p))
-    x = np.vstack(starts)
-    best_val, best_x, best_grad = -1.0, None, None
-    coeffs = None
-    for it in range(ascent_iters + 1):
-        dists, grads, coeffs = _dists_and_grads(frame, x, q, c0=coeffs)
-        top = int(np.argmax(dists))
-        if dists[top] > best_val:
-            best_val, best_x, best_grad = float(dists[top]), x[top].copy(), grads[top].copy()
-        if it == ascent_iters:
-            break
-        x = _normalize_rows_p(x + (0.5 / (1.0 + it)) * grads, p)
-    return best_val, best_x, best_grad
+    vertices = np.eye(frame.shape[0])
+    coeffs = vertices @ frame if q == 2.0 else _lq_regress(frame, vertices, q)
+    resid = vertices - coeffs @ frame.T
+    absr = np.abs(resid)
+    dists = np.sum(absr**q, axis=1) ** (1.0 / q)
+    grads = np.sign(resid) * (absr / np.maximum(dists, 1e-30)[:, None]) ** (q - 1.0)
+    best = int(np.argmax(dists))
+    return float(dists[best]), (vertices[best], grads[best])
+
+
+def _vertex_frame_grad(frame, x_star, grad_x, q):
+    """Envelope gradient in the frame of the distance from x_star to its span."""
+    coef = x_star @ frame if q == 2.0 else _lq_regress(frame, x_star[None, :], q)[0]
+    return -np.outer(grad_x, coef)
+
+
+def _conjugate(r):
+    """Hoelder conjugate r' of r >= 1 (1/r + 1/r' = 1)."""
+    return np.inf if r == 1.0 else r / (r - 1.0)
+
+
+def _log_norms(y, r):
+    """l_r norms of the nonzero rows of y and the gradients of their logs.
+
+    At r = inf the gradient is the subgradient at the first largest entry.
+    """
+    absy = np.abs(y)
+    if r == np.inf:
+        rows = np.arange(len(y))
+        top = np.argmax(absy, axis=1)
+        norms = absy[rows, top]
+        grads = np.zeros_like(y)
+        grads[rows, top] = np.sign(y[rows, top]) / norms
+        return norms, grads
+    scale = absy.max(axis=1, keepdims=True)
+    u = absy / scale
+    sums = (u**r).sum(axis=1, keepdims=True)
+    return (scale * sums ** (1.0 / r))[:, 0], np.sign(y) * u ** (r - 1.0) / (scale * sums)
+
+
+def _dual_ratios(frame, z, p_dual, q_dual):
+    """||y||_{p'} / ||y||_{q'} at y = frame z for the rows z, and the
+    gradients of the log ratios in y.
+
+    At p' = q' both norms come from the same arithmetic, so the ratio is
+    exactly 1 and the gradient exactly 0.
+    """
+    y = z @ frame.T
+    num, grad_num = _log_norms(y, p_dual)
+    den, grad_den = _log_norms(y, q_dual)
+    return num / den, grad_num - grad_den
+
+
+def _dual_sup(frame, p_dual, q_dual, z, steps):
+    """Max over the unit sphere of ||frame z||_{p'} / ||frame z||_{q'} by
+    projected gradient ascent from every row of z, with the ratio's gradient
+    in y = frame z and the maximizing z.
+
+    The log ratio is homogeneous of degree 0, so its gradient is tangent to
+    the sphere.  Each start keeps its own step, which grows after an
+    improving move and halves after a rejected one, so no start's value ever
+    falls.  Every iterate is feasible: the result never exceeds the true max.
+    """
+    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    vals, grads = _dual_ratios(frame, z, p_dual, q_dual)
+    step = np.full((len(z), 1), 0.5)
+    for _ in range(steps):
+        trial = z + step * (grads @ frame)
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        tvals, tgrads = _dual_ratios(frame, trial, p_dual, q_dual)
+        up = tvals > vals
+        z = np.where(up[:, None], trial, z)
+        vals = np.where(up, tvals, vals)
+        grads = np.where(up[:, None], tgrads, grads)
+        step = np.where(up[:, None], 1.5 * step, 0.5 * step)
+    best = int(np.argmax(vals))
+    return float(vals[best]), (vals[best] * grads[best], z[best])
+
+
+def _dual_starts(frame, z):
+    """Ascent starts: the nonzero rows of frame (the directions of the
+    projections of the e_i onto its span), then the random rows z."""
+    return np.vstack([frame[np.any(frame != 0.0, axis=1)], z])
 
 
 def _orthonormalize(a):
     qmat, r = np.linalg.qr(a)
     # Fix the sign convention so the map is continuous along descent paths.
     return qmat * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
+
+
+def _complement(frame):
+    """Orthonormal frame of the orthogonal complement of span(frame)."""
+    u, _, _ = np.linalg.svd(frame)
+    return u[:, frame.shape[1] :]
 
 
 def ball_width_bruteforce(
@@ -186,8 +236,14 @@ def ball_width_bruteforce(
     """Direct minimization of the worst-case l_q distance over n-subspaces.
 
     Returns an upper-bound estimate (it exhibits a concrete subspace).  The
-    coordinate frame seeds one restart, so the value never lands above the
-    coordinate-subspace bound.
+    coordinate subspace is one restart's start and one more candidate, so the
+    value never lands above the coordinate-subspace bound.  For p > 1 the
+    descent runs on a frame of the complement (see the module docstring);
+    inner_starts and final_starts random directions join the ascent during
+    the descent and in each restart's final evaluation.  A restart stops as
+    'stationary' when no backtracking step lowers its value, else at
+    'max_iter'; the estimate is converged when some restart is stationary.
+    diagnostics['frame'] is an orthonormal m x n frame of the best subspace.
     """
     m, n, p, q = inst.m, inst.n, inst.p, inst.q
     if m > DESK_SCALE_MAX_DIM and not allow_large:
@@ -201,43 +257,51 @@ def ball_width_bruteforce(
         value = m ** (1.0 / q - 1.0 / p) if q < p else 1.0
         return WidthEstimate(float(value), "two-sided", "no-subspace", {"restarts": 0})
 
+    # p = 1 descends on a frame of the subspace itself, p > 1 on a frame of
+    # its complement; either way the coordinate frame comes first.
+    dual = p > 1.0
+    p_dual, q_dual = _conjugate(p), _conjugate(q)
+    cols = m - n if dual else n
+    coord_frame = np.eye(m)[:, n:] if dual else np.eye(m, n)
+
+    def sup(frame, z, steps):
+        """Inner sup estimate of one frame and the state its gradient needs."""
+        if dual:
+            return _dual_sup(frame, p_dual, q_dual, _dual_starts(frame, z), steps)
+        return _vertex_sup(frame, q)
+
+    def frame_grad(frame, state):
+        # Envelope theorem: the inner maximizer's gradient, taken as fixed.
+        if dual:
+            return np.outer(*state)
+        return _vertex_frame_grad(frame, *state, q)
+
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     per_restart = []
     frames = []
-    converged_any = False
+    stops = []
     for r_idx in range(restarts):
         rng = np.random.default_rng(seeds[r_idx])
         if r_idx == 0:
-            frame = np.eye(m, n)
+            frame = coord_frame
         else:
-            frame = _orthonormalize(rng.standard_normal((m, n)))
-        # One fixed random start block per restart keeps the objective
-        # deterministic along the descent path.
-        inner_rng_state = rng.bit_generator.state
+            frame = _orthonormalize(rng.standard_normal((m, cols)))
+        # Fixed random starts per restart keep the objective deterministic
+        # along the descent path.
+        z_inner = rng.standard_normal((inner_starts, cols))
+        z_final = rng.standard_normal((final_starts, cols))
 
-        def objective(fr, n_starts):
-            local = np.random.default_rng()
-            local.bit_generator.state = inner_rng_state
-            return _sup_over_ball(fr, m, p, q, local, n_starts)
-
-        val, x_star, grad_x = objective(frame, inner_starts)
+        val, state = sup(frame, z_inner, ASCENT_STEPS)
         step = 0.25
-        converged = False
+        stop = "max_iter"
         for _ in range(max_iter):
-            if frame.shape[1] and x_star is not None:
-                if q == 2.0:
-                    coef = x_star @ frame
-                else:
-                    coef = _lq_regress(frame, x_star[None, :], q, max_iter=200)[0]
-                grad_frame = -np.outer(grad_x, coef)
-            else:
-                break
+            grad_frame = frame_grad(frame, state)
             accepted = False
             for _ in range(8):
                 trial = _orthonormalize(frame - step * grad_frame)
-                tval, tx, tgrad = objective(trial, inner_starts)
+                tval, tstate = sup(trial, z_inner, ASCENT_STEPS)
                 if tval < val - 1e-14:
-                    frame, val, x_star, grad_x = trial, tval, tx, tgrad
+                    frame, val, state = trial, tval, tstate
                     step = min(step * 1.5, 1.0)
                     accepted = True
                     break
@@ -245,25 +309,24 @@ def ball_width_bruteforce(
                 if step < 1e-10:
                     break
             if not accepted:
-                converged = True
+                stop = "stationary"
                 break
-        converged_any = converged_any or converged
-        final_val, _, _ = objective(frame, final_starts)
-        # The richer final candidate set can only raise the sup estimate.
-        final_val = max(final_val, val)
-        per_restart.append(final_val)
+        stops.append(stop)
+        final_val, _ = sup(frame, z_final, FINAL_ASCENT_STEPS)
+        # The richer final start set can only raise the sup estimate.
+        per_restart.append(max(final_val, val))
         frames.append(frame)
 
     # The undescended coordinate frame is always a candidate; its sup estimate
     # can never exceed the coordinate-subspace bound.
-    coord_frame = np.eye(m, n)
     coord_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(restarts + 1)[-1])
-    coord_val, _, _ = _sup_over_ball(coord_frame, m, p, q, coord_rng, final_starts)
+    coord_val, _ = sup(coord_frame, coord_rng.standard_normal((final_starts, cols)), FINAL_ASCENT_STEPS)
     per_restart.append(coord_val)
     frames.append(coord_frame)
 
     values = np.asarray(per_restart)
     best_idx = int(np.argmin(values))
+    best_frame = _complement(frames[best_idx]) if dual else frames[best_idx]
     return WidthEstimate(
         float(values[best_idx]),
         "upper-bound",
@@ -272,7 +335,8 @@ def ball_width_bruteforce(
             "restarts": restarts,
             "best": float(values[best_idx]),
             "median": float(np.median(values[:restarts])),
-            "converged": converged_any,
-            "frame": frames[best_idx],
+            "converged": "stationary" in stops,
+            "stops": stops,
+            "frame": best_frame,
         },
     )

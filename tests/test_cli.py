@@ -65,6 +65,14 @@ class TestListValues:
         with pytest.raises(ConfigError):
             build_config("mz", {"m_list": [4, 2.5]}, {})
 
+    def test_oversized_entry_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["mz", "--m-list", "1" + "0" * 400, "--trials", "5", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError):
+            build_config("approx", {"n_list": [1e300]}, {})
+
 
 class TestImportGraph:
     def test_cli_import_leaves_scipy_unloaded(self):
@@ -189,6 +197,21 @@ class TestApproxCommand:
         assert rows[("8", "en_exact_l2")] == pytest.approx(0.5 * math.log(10) ** -1)
         assert rows[("16", "catalog_rate")] == pytest.approx(math.log(16) ** -1)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--p", "inf", "--q", "3", "--n-list", "8"],
+            ["--n-list", "-3"],
+            ["--p", "1.5", "--q", "3", "--n-list", "-3"],
+        ],
+        ids=["p-inf", "negative-degree-exact-l2", "negative-degree-search"],
+    )
+    def test_out_of_range_input_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(["approx", *args, "--budget", "4", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommand:
     def test_fit_from_csv(self, tmp_path):
@@ -261,3 +284,32 @@ class TestWidthsCommand:
             rows = {(r["n"], r["quantity"]): float(r["value"]) for r in csv.DictReader(fh)}
         assert rows[("0", "bruteforce_width")] == pytest.approx(1.0, abs=1e-6)
         assert rows[("4", "bruteforce_width")] == 0.0
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--restarts", "0"], ["--restarts", "-1"], ["--inner-starts", "-1"], ["--final-starts", "-2"],
+         ["--max-iter", "-1"]],
+        ids=["restarts-0", "restarts-negative", "inner-negative", "final-negative", "max-iter-negative"],
+    )
+    def test_bad_search_budget_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(["widths", "--m", "4", "--n-list", "2", "--p", "1.5", "--q", "3", *args, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_q_below_p_converges_with_stop_reasons(self, tmp_path):
+        # Seed 4 made this cell exit 3 (nonconverged) under the primal ascent.
+        code = run(
+            ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "1.5",
+             "--restarts", "2", "--seed", "4", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        with open(tmp_path / "report.json") as fh:
+            report = json.load(fh)["report"]
+        assert report["nonconverged"] is False
+        assert report["converged"] == [True] * 4
+        assert all(len(stops) == 2 and "stationary" in stops for stops in report["stops"])
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = {(r["n"], r["quantity"]): float(r["value"]) for r in csv.DictReader(fh)}
+        for n in range(1, 5):
+            assert rows[(str(n), "bruteforce_width")] >= (5 - n) ** (1 / 3) * (1 - 1e-9)

@@ -11,9 +11,12 @@ from widthlab import (
     ball_width_bruteforce,
     coordinate_subspace_bound,
     phi_gluskin,
+    widths,
 )
 
 FAST = dict(restarts=2, inner_starts=16, final_starts=32, max_iter=12)
+# The widths benchmark's settings: the CLI defaults with two restarts.
+SWEEP = dict(restarts=2, inner_starts=32, final_starts=64, max_iter=30)
 
 
 class TestPhiGluskin:
@@ -138,3 +141,78 @@ class TestBruteForce:
         assert est.direction == "upper-bound"
         assert est.diagnostics["restarts"] == 2
         assert "median" in est.diagnostics
+
+    def test_stop_reasons_reported(self):
+        est = ball_width_bruteforce(BallWidthInstance(5, 2, 1.5, 3), seed=1, **SWEEP)
+        assert len(est.diagnostics["stops"]) == 2
+        assert set(est.diagnostics["stops"]) <= {"stationary", "max_iter"}
+        assert est.diagnostics["converged"] == ("stationary" in est.diagnostics["stops"])
+
+    def test_frame_spans_the_subspace(self):
+        for p, q in [(1.0, 1.5), (1.5, 3.0)]:
+            frame = ball_width_bruteforce(BallWidthInstance(5, 2, p, q), seed=1, **FAST).diagnostics["frame"]
+            assert frame.shape == (5, 2)
+            assert np.allclose(frame.T @ frame, np.eye(2), atol=1e-12)
+
+
+def dual_ratio_scan(frame, p, q, n_angles=100_000, refine=1_000):
+    """Max of ||y||_{p'} / ||y||_{q'} over y in the span of a 3 x 2 frame.
+
+    Scans n_angles directions of the half circle (the ratio is even), then
+    rescans the two neighbouring cells of every local maximum with refine
+    points each, which brings the error of a smooth peak to ~1e-16.
+    """
+
+    def norms(y, r):
+        if r == 1.0:  # dual exponent infinity
+            return np.max(np.abs(y), axis=1)
+        r_dual = r / (r - 1.0)
+        return np.sum(np.abs(y) ** r_dual, axis=1) ** (1.0 / r_dual)
+
+    def ratios(theta):
+        y = np.column_stack([np.cos(theta), np.sin(theta)]) @ frame.T
+        return norms(y, p) / norms(y, q)
+
+    h = math.pi / n_angles
+    theta = np.arange(n_angles) * h
+    vals = ratios(theta)
+    peaks = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+    fine = np.linspace(-h, h, 2 * refine + 1)
+    return max(float(np.max(ratios(theta[i] + fine))) for i in peaks)
+
+
+class TestDualInnerSup:
+    """The inner supremum of the p > 1 path against an independent scan."""
+
+    @pytest.mark.parametrize("p, q", [(1.5, 3.0), (3.0, 1.5), (2.0, 4.0)])
+    def test_matches_angle_scan_at_m3_n1(self, p, q):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            frame = widths._orthonormalize(rng.standard_normal((3, 2)))
+            starts = widths._dual_starts(frame, rng.standard_normal((SWEEP["final_starts"], 2)))
+            value, _ = widths._dual_sup(
+                frame, widths._conjugate(p), widths._conjugate(q), starts, widths.FINAL_ASCENT_STEPS
+            )
+            assert value == pytest.approx(dual_ratio_scan(frame, p, q), rel=1e-9)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_duality_against_the_vertex_path(self, q):
+        # At p = 1 the primal sup is exact (worst vertex), so it must equal
+        # the dual max at p' = inf over the complement of the same line.
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            line = widths._orthonormalize(rng.standard_normal((3, 1)))
+            primal, _ = widths._vertex_sup(line, q)
+            assert primal == pytest.approx(dual_ratio_scan(widths._complement(line), 1.0, q), rel=1e-9)
+
+    def test_q_below_p_reaches_the_exact_width(self):
+        # Exact: (m - n)^(1/q - 1/p) (Pietsch, Stesin).
+        for seed in (1, 2, 3):
+            for n in range(1, 5):
+                est = ball_width_bruteforce(BallWidthInstance(5, n, 3.0, 1.5), seed=seed, **SWEEP)
+                assert est.value >= (5 - n) ** (1.0 / 3.0) * (1 - 1e-9)
+
+    def test_p_equals_q_is_exactly_one(self):
+        for seed in (1, 2, 3):
+            for n in range(1, 5):
+                assert ball_width_bruteforce(BallWidthInstance(5, n, 3.0, 3.0), seed=seed, **SWEEP).value == 1.0
