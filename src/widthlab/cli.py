@@ -5,8 +5,8 @@ its configuration (JSON file plus flat flag overrides; flags win), executes,
 and writes results.csv + report.json (+ plot.svg) into the output directory.
 Identical config and seed give byte-identical CSV and JSON.
 
-Exit codes: 0 ok, 2 config error, 3 numerical nonconvergence (reports still
-written), 4 I/O error.
+Exit codes: 0 ok, 2 config error (also a request too large for memory),
+3 numerical nonconvergence (reports still written), 4 I/O error.
 """
 
 import argparse
@@ -428,6 +428,9 @@ def main(argv=None):
         exit_code = 3
     except WidthlabError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"config error: {subcommand} needs more memory than is available", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -188,23 +188,24 @@ def eval_poly(t, x):
     return t.a0 + np.cos(kx) @ t.a + np.sin(kx) @ t.b
 
 
-def synthesize_rows(coeffs, n_grid):
+def synthesize_rows(coeffs, n_grid, shift=0.0):
     """Sample coefficient rows (a0, a_1..a_m, b_1..b_m) on a uniform grid.
 
-    The rows lie along the last axis; any leading axes are batch axes and
-    are kept in the output, which has n_grid samples per row.
+    The samples lie at 2pi (j + shift) / n_grid, j = 0..n_grid-1.  The rows
+    lie along the last axis; any leading axes are batch axes and are kept in
+    the output, which has n_grid samples per row.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     m = (coeffs.shape[-1] - 1) // 2
     if n_grid < 2 * m + 1:
         raise GridTooCoarseError(f"grid of {n_grid} points cannot resolve degree {m}")
-    # Inverse FFT of the half-complex spectrum: c_0 = a0, c_k = (a_k - i b_k)/2.
+    # Inverse FFT of the half-complex spectrum n_grid * c_k, with c_0 = a0 and
+    # c_k = (a_k - i b_k)/2 turned by e^{2pi i k shift/n_grid}.  Only the m+1
+    # nonzero bins are scaled; at shift = 0 the factor is exactly 0.5*n_grid.
+    twiddle = 0.5 * n_grid * np.exp(2j * np.pi * shift / n_grid * np.arange(1, m + 1))
     spec = np.zeros(coeffs.shape[:-1] + (n_grid // 2 + 1,), dtype=complex)
-    spec[..., 0] = coeffs[..., 0]
-    spec[..., 1 : m + 1] = 0.5 * (coeffs[..., 1 : m + 1] - 1j * coeffs[..., m + 1 :])
-    # Scaled in place: a scaled copy would hold a second spectrum-sized
-    # buffer during the transform.
-    spec *= n_grid
+    spec[..., 0] = n_grid * coeffs[..., 0]
+    spec[..., 1 : m + 1] = (coeffs[..., 1 : m + 1] - 1j * coeffs[..., m + 1 :]) * twiddle
     return np.fft.irfft(spec, n=n_grid, axis=-1)
 
 

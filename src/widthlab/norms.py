@@ -18,8 +18,9 @@ from .fourier import GridFunction, TrigPoly, analyze, eval_poly, synthesize_rows
 
 QUADRATURE_TOL = 1e-10
 QUADRATURE_CAP = 2**16
-# Most samples synthesized at once: 16 rows of the capped grid.  The FFT
-# vectorises across rows; blocks of 1-4 such rows ran 35-55% slower.
+# Most samples synthesized at once: 31 rows of the largest midpoint transform
+# (33,280 points), or 16 rows of an even-p grid at the cap.  The FFT
+# vectorises across rows; blocks of 1-4 capped rows ran 35-55% slower.
 QUADRATURE_BLOCK = 2**20
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 500
@@ -38,29 +39,36 @@ def lp_norm(f, p):
     return float(_trapezoid_lp(f.samples, p))
 
 
-def _grid_lp(coeffs, n_grid, p):
-    """Trapezoidal L_p norms of coefficient rows (a0, a, b) on an n_grid-point grid.
+def _power_sums(coeffs, n_grid, p, shift=0.0):
+    """Sums of |t|^p over the points 2pi (j + shift) / n_grid of coefficient rows.
 
     Rows are synthesized in blocks of whole rows holding at most
     QUADRATURE_BLOCK samples, which bounds the memory of large batches.  Each
-    row's transform and sum are independent of the other rows, so the norms
+    row's transform and sum are independent of the other rows, so the sums
     do not depend on the blocking.
     """
     rows = coeffs.reshape(-1, coeffs.shape[-1])
     step = max(1, QUADRATURE_BLOCK // n_grid)
     blocks = [
-        _trapezoid_lp(synthesize_rows(rows[i : i + step], n_grid), p)
+        np.sum(np.abs(synthesize_rows(rows[i : i + step], n_grid, shift)) ** p, axis=-1)
         for i in range(0, len(rows), step)
     ]
     return np.concatenate(blocks).reshape(coeffs.shape[:-1])
+
+
+def _grid_lp(coeffs, n_grid, p):
+    """Trapezoidal L_p norms of coefficient rows (a0, a, b) on an n_grid-point grid."""
+    return (2.0 * np.pi / n_grid * _power_sums(coeffs, n_grid, p)) ** (1.0 / p)
 
 
 def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
     """L_p norms of coefficient rows (a0, a, b), refining a shared grid until stable.
 
     |t|^p is not band-limited for non-even p, so the grid is doubled until no
-    row's norm moves by more than tol relative (cap 2^16 points).  For even
-    integer p it is a trig polynomial, and one exact grid suffices.
+    row's norm moves by more than tol relative (cap 2^16 points).  The ladder
+    is nested: each doubling synthesizes only the midpoints of the old grid
+    and adds their power sums to the old ones.  For even integer p, |t|^p is
+    a trig polynomial, and one exact grid suffices.
     """
     m = (coeffs.shape[-1] - 1) // 2
     n_grid = max(256, 4 * (m + 1))
@@ -71,10 +79,12 @@ def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
         while n_grid <= p * m and n_grid < QUADRATURE_CAP:
             n_grid *= 2
         return _grid_lp(coeffs, n_grid, p)
-    prev = _grid_lp(coeffs, n_grid, p)
+    sums = _power_sums(coeffs, n_grid, p)
+    prev = (2.0 * np.pi / n_grid * sums) ** (1.0 / p)
     while n_grid < QUADRATURE_CAP:
+        sums = sums + _power_sums(coeffs, n_grid, p, shift=0.5)
         n_grid *= 2
-        cur = _grid_lp(coeffs, n_grid, p)
+        cur = (2.0 * np.pi / n_grid * sums) ** (1.0 / p)
         if np.all(np.abs(cur - prev) <= tol * cur):
             return cur
         prev = cur

@@ -262,6 +262,20 @@ class TestMzCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_memory_error_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # Injected: a real oversized request could reach the OOM killer on a
+        # host that overcommits memory.
+        def exhausted(m, trials, rng):
+            raise MemoryError
+
+        monkeypatch.setattr(widthlab.norms, "_random_unit_polys", exhausted)
+        out = tmp_path / "out"
+        assert run(["mz", "--m-list", "4", "--trials", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "config error: mz " in err
+        assert not out.exists()
+
 
 class TestWidthsCommand:
     def test_basic_run(self, tmp_path):

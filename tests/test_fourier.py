@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthlab import (
     Exponential,
@@ -22,6 +24,7 @@ from widthlab import (
     synthesize,
     synthesize_kernel,
 )
+from widthlab.fourier import synthesize_rows
 
 
 def random_poly(rng, degree, with_const=True):
@@ -131,6 +134,33 @@ class TestApplyMultiplier:
         chained = apply_multiplier(k2, apply_multiplier(k1, t))
         direct = apply_multiplier(k12, t)
         assert np.allclose(chained.coeff_vector(), direct.coeff_vector())
+
+
+class TestSynthesizeRows:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_grid=st.sampled_from([256, 260, 1040, 2**16, 66048, 66560]),
+        degree=st.integers(0, 127),
+        rows=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unshifted_equals_spectrum_scaled_formula(self, n_grid, degree, rows, seed):
+        coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
+        # The formula that scaled the whole half-complex spectrum after filling it.
+        spec = np.zeros((rows, n_grid // 2 + 1), dtype=complex)
+        spec[:, 0] = coeffs[:, 0]
+        spec[:, 1 : degree + 1] = 0.5 * (coeffs[:, 1 : degree + 1] - 1j * coeffs[:, degree + 1 :])
+        spec *= n_grid
+        expected = np.fft.irfft(spec, n=n_grid, axis=-1)
+        assert np.array_equal(synthesize_rows(coeffs, n_grid), expected)
+
+    @pytest.mark.parametrize("degree, n_grid", [(1, 256), (7, 15), (33, 260), (127, 516)])
+    def test_midpoints_match_direct_evaluation(self, degree, n_grid):
+        t = random_poly(np.random.default_rng(degree), degree)
+        mid = synthesize_rows(t.coeff_vector(), n_grid, shift=0.5)
+        points = 2 * np.pi * (np.arange(n_grid) + 0.5) / n_grid
+        scale = np.max(np.abs(mid))
+        assert np.max(np.abs(mid - eval_poly(t, points))) <= 1e-12 * scale
 
 
 class TestSynthesizeKernel:

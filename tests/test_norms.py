@@ -23,6 +23,7 @@ from widthlab.norms import (
     QUADRATURE_CAP,
     DiscretizedPoly,
     _grid_lp,
+    _power_sums,
     _quadrature_lp,
     _random_unit_polys,
     _trapezoid_lp,
@@ -85,15 +86,64 @@ class TestQuadrature:
     def test_even_p_transforms_one_grid(self, monkeypatch, m, p, grid):
         grids = []
 
-        def recording(coeffs, n_grid):
+        def recording(coeffs, n_grid, shift=0.0):
             grids.append(n_grid)
-            return synthesize_rows(coeffs, n_grid)
+            return synthesize_rows(coeffs, n_grid, shift)
 
         monkeypatch.setattr(norms, "synthesize_rows", recording)
         # Scaled so that |t|^(2^20) underflows to 0 instead of overflowing.
         coeffs = 0.1 * _random_unit_polys(m, 8, np.random.default_rng(5))
         _quadrature_lp(coeffs, p)
         assert grids == [grid]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_grid=st.sampled_from([256, 260, 516, 2**15]),
+        degree=st.integers(1, 127),
+        rows=st.integers(1, 8),
+        p=st.floats(1.0, 8.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_midpoint_sums_complete_the_doubled_grid(self, n_grid, degree, rows, p, seed):
+        coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
+        nested = _power_sums(coeffs, n_grid, p) + _power_sums(coeffs, n_grid, p, shift=0.5)
+        direct = np.sum(np.abs(synthesize_rows(coeffs, 2 * n_grid)) ** p, axis=-1)
+        assert np.allclose(nested, direct, rtol=1e-14, atol=0)
+
+    @staticmethod
+    def _doubling_ladder(coeffs, p):
+        """The ladder that synthesizes every point of each doubled grid afresh."""
+        m = (coeffs.shape[-1] - 1) // 2
+        n_grid = max(256, 4 * (m + 1))
+        prev = _grid_lp(coeffs, n_grid, p)
+        while n_grid < QUADRATURE_CAP:
+            n_grid *= 2
+            cur = _grid_lp(coeffs, n_grid, p)
+            if np.all(np.abs(cur - prev) <= norms.QUADRATURE_TOL * cur):
+                return cur, n_grid
+            prev = cur
+        return prev, n_grid
+
+    # m = 64, p = 1.5: the ladder runs into the cap, and the start grid 260
+    # makes it overshoot to 66,560 points.  m = 4, p = 7: it stops below the cap.
+    @pytest.mark.parametrize("m, p", [(64, 1.5), (4, 7.0)])
+    def test_non_even_p_transforms_only_midpoints(self, monkeypatch, m, p):
+        coeffs = _random_unit_polys(m, 8, np.random.default_rng(5))
+        expected, final_grid = self._doubling_ladder(coeffs, p)
+        calls = []
+
+        def recording(coeffs, n_grid, shift=0.0):
+            calls.append((n_grid, shift))
+            return synthesize_rows(coeffs, n_grid, shift)
+
+        monkeypatch.setattr(norms, "synthesize_rows", recording)
+        norms_nested = _quadrature_lp(coeffs, p)
+        start = max(256, 4 * (m + 1))
+        # The start grid, then the midpoints of each grid in turn.
+        levels = [start * 2**k for k in range(len(calls) - 1)]
+        assert calls == [(start, 0.0)] + [(n, 0.5) for n in levels]
+        assert 2 * calls[-1][0] == final_grid
+        assert np.allclose(norms_nested, expected, rtol=1e-15, atol=0)
 
 
 class TestBestApprox:
