@@ -113,7 +113,6 @@ class PipelineReport:
     log_factor: float
     phi_value: float
     lower_bound: float
-    upper_estimate: float = float("nan")
     notes: str = ""
 
 

@@ -102,7 +102,7 @@ def _coerce(key, value, typ):
         if typ is list:
             if isinstance(value, str):
                 value = [v for v in value.replace(",", " ").split() if v]
-            values = [float(v) if "." in str(v) or "e" in str(v) else int(v) for v in value]
+            values = [float(v) if "." in str(v) or "e" in str(v).lower() else int(v) for v in value]
             # float.is_integer() is False for inf and nan as well.
             if key in INTEGER_LISTS:
                 if not all(isinstance(v, int) or v.is_integer() for v in values):
@@ -388,60 +388,55 @@ def build_parser():
     return parser
 
 
+def _failure(exc, subcommand):
+    """Exit code and stderr line of an error raised by a run: the one
+    error -> exit-code map.  A nonconvergence has no line; its reports are
+    still written."""
+    if isinstance(exc, NonconvergenceError):
+        return 3, None
+    if isinstance(exc, WidthlabError):
+        return 2, f"config error: {exc}"
+    if isinstance(exc, MemoryError):
+        return 2, f"config error: {subcommand} needs more memory than is available"
+    return 4, f"i/o error: {exc}"
+
+
+def _read_config(path):
+    if not path:
+        return {}
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON, or bytes that are not text
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+
+
 def main(argv=None):
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     subcommand = args.subcommand
-    try:
-        file_config = {}
-        if args.config:
-            try:
-                with open(args.config) as fh:
-                    file_config = json.load(fh)
-            except OSError as exc:
-                print(f"error: cannot read config: {exc}", file=sys.stderr)
-                return 4
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        overrides = {
-            key: getattr(args, key)
-            for key in list(SCHEMAS[subcommand]) + ["seed", "out"]
-            if getattr(args, key, None) is not None
-        }
-        if args.no_plot:
-            overrides["plot"] = False
-        config = build_config(subcommand, file_config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
+    overrides = {
+        key: getattr(args, key)
+        for key in list(SCHEMAS[subcommand]) + ["seed", "out"]
+        if getattr(args, key, None) is not None
+    }
+    if args.no_plot:
+        overrides["plot"] = False
     exit_code = 0
     try:
-        rows, header, report, series = RUNNERS[subcommand](config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except NonconvergenceError as exc:
-        rows, header = [], ("n", "quantity", "value")
-        report = {"nonconvergence": True, "diagnostics": exc.diagnostics}
-        series = []
-        exit_code = 3
-    except WidthlabError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print(f"config error: {subcommand} needs more memory than is available", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-    if report.get("nonconverged"):
-        exit_code = 3
-    try:
+        config = build_config(subcommand, _read_config(args.config), overrides)
+        try:
+            rows, header, report, series = RUNNERS[subcommand](config)
+        except NonconvergenceError as exc:
+            rows, header, series = [], ("n", "quantity", "value"), []
+            report = {"nonconvergence": True, "diagnostics": exc.diagnostics}
+            exit_code, _ = _failure(exc, subcommand)
+        if report.get("nonconverged"):
+            exit_code = 3
         write_outputs(config["out"], subcommand, config, rows, header, report, series)
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    except (WidthlabError, MemoryError, OSError) as exc:
+        exit_code, message = _failure(exc, subcommand)
+        print(message, file=sys.stderr)
     return exit_code
 
 

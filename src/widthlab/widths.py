@@ -6,7 +6,8 @@ V of R^m on the worst-case distance sup_{x in B_p} dist_q(x, V).
 
 - p = 1: V is an orthonormalized m x n frame.  The distance is convex, so the
   supremum sits at the +-e_i vertices, each measured by a small l_q
-  regression.
+  regression (the IRLS solver that norms.best_approx uses, batched over the
+  vertices).
 - p > 1: by the Kolmogorov-Gelfand duality (Pinkus, n-Widths in
   Approximation Theory, 1985, ch. II)
 
@@ -32,8 +33,10 @@ from .errors import (
     DimensionGuardError,
     InvalidDimensionError,
     InvalidExponentError,
+    NonconvergenceError,
     OutOfBranchError,
 )
+from .norms import _lq_regress
 
 DESK_SCALE_MAX_DIM = 8
 # Projected-ascent steps of the dual inner maximization, during the descent
@@ -98,49 +101,31 @@ def coordinate_subspace_bound(inst):
     return 1.0
 
 
-def _lq_regress(frame, x, q, tol=1e-11, max_iter=200):
-    """Batched IRLS for min_c ||x_i - frame c_i||_q over every row of x.
-
-    Damping 1/(q-1) keeps the q > 2 iteration contractive.
-    """
-    c = x @ frame
-    eps = 1e-12 * max(1.0, float(np.max(np.abs(x))))
-    damping = 1.0 if q <= 2.0 else 1.0 / (q - 1.0)
-    for _ in range(max_iter):
-        resid = x - c @ frame.T
-        w = np.maximum(np.abs(resid), eps) ** (q - 2.0)
-        lhs = np.einsum("mi,bm,mj->bij", frame, w, frame)
-        rhs = np.einsum("mi,bm,bm->bi", frame, w, x)
-        c_new = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-        delta = damping * (c_new - c)
-        c = c + delta
-        if np.max(np.abs(delta)) <= tol * max(1.0, np.max(np.abs(c))):
-            break
-    return c
-
-
 def _vertex_sup(frame, q):
-    """Sup over B_1^m of the l_q distance to span(frame), with the worst vertex
-    and the distance gradient there.
+    """Sup over B_1^m of the l_q distance to span(frame), with the two factors
+    of its frame gradient.
 
-    Exact: the distance is convex, so only the +-e_i vertices matter.  frame
-    has orthonormal columns; the gradient is the envelope-theorem gradient at
-    the optimal coefficients.
+    Exact: the distance is convex, so only the +-e_i vertices matter, each
+    one l_q regression on the frame (one batched _lq_regress from the
+    orthogonal projections).  frame has orthonormal columns.  By the envelope
+    theorem the frame gradient at the worst vertex is the outer product of
+    minus the distance gradient there and its optimal coefficients.
     """
     vertices = np.eye(frame.shape[0])
-    coeffs = vertices @ frame if q == 2.0 else _lq_regress(frame, vertices, q)
+    coeffs = vertices @ frame
+    if q != 2.0:
+        coeffs, converged = _lq_regress(frame, vertices, q, coeffs)
+        if not converged:
+            raise NonconvergenceError(
+                "vertex l_q regression did not converge",
+                diagnostics={"q": q, "m": frame.shape[0], "n": frame.shape[1]},
+            )
     resid = vertices - coeffs @ frame.T
     absr = np.abs(resid)
     dists = np.sum(absr**q, axis=1) ** (1.0 / q)
     grads = np.sign(resid) * (absr / np.maximum(dists, 1e-30)[:, None]) ** (q - 1.0)
     best = int(np.argmax(dists))
-    return float(dists[best]), (vertices[best], grads[best])
-
-
-def _vertex_frame_grad(frame, x_star, grad_x, q):
-    """Envelope gradient in the frame of the distance from x_star to its span."""
-    coef = x_star @ frame if q == 2.0 else _lq_regress(frame, x_star[None, :], q)[0]
-    return -np.outer(grad_x, coef)
+    return float(dists[best]), (-grads[best], coeffs[best])
 
 
 def _conjugate(r):
@@ -228,7 +213,6 @@ def ball_width_bruteforce(
     inst,
     restarts=64,
     seed=0,
-    allow_large=False,
     max_iter=60,
     inner_starts=64,
     final_starts=256,
@@ -246,7 +230,7 @@ def ball_width_bruteforce(
     diagnostics['frame'] is an orthonormal m x n frame of the best subspace.
     """
     m, n, p, q = inst.m, inst.n, inst.p, inst.q
-    if m > DESK_SCALE_MAX_DIM and not allow_large:
+    if m > DESK_SCALE_MAX_DIM:
         raise DimensionGuardError(f"m={m} above desk-scale cap {DESK_SCALE_MAX_DIM}")
     if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
         raise InvalidExponentError("brute force needs finite exponents")
@@ -270,12 +254,6 @@ def ball_width_bruteforce(
             return _dual_sup(frame, p_dual, q_dual, _dual_starts(frame, z), steps)
         return _vertex_sup(frame, q)
 
-    def frame_grad(frame, state):
-        # Envelope theorem: the inner maximizer's gradient, taken as fixed.
-        if dual:
-            return np.outer(*state)
-        return _vertex_frame_grad(frame, *state, q)
-
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     per_restart = []
     frames = []
@@ -295,7 +273,8 @@ def ball_width_bruteforce(
         step = 0.25
         stop = "max_iter"
         for _ in range(max_iter):
-            grad_frame = frame_grad(frame, state)
+            # Envelope theorem: the inner maximizer's gradient, taken as fixed.
+            grad_frame = np.outer(*state)
             accepted = False
             for _ in range(8):
                 trial = _orthonormalize(frame - step * grad_frame)

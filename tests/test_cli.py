@@ -8,8 +8,9 @@ import sys
 import pytest
 
 import widthlab
+from widthlab import cli
 from widthlab.cli import build_config, main
-from widthlab.errors import ConfigError
+from widthlab.errors import ConfigError, NonconvergenceError, OutOfBranchError
 
 
 def read(path):
@@ -61,6 +62,11 @@ class TestListValues:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("exponent", ["e", "E"])
+    def test_exponent_in_either_case(self, exponent):
+        assert build_config("mz", {}, {"p_list": [f"1{exponent}3"]})["p_list"] == [1000.0]
+        assert build_config("approx", {}, {"n_list": [f"1{exponent}2"]})["n_list"] == [100.0]
+
     def test_non_integral_degree_rejected(self):
         with pytest.raises(ConfigError):
             build_config("mz", {"m_list": [4, 2.5]}, {})
@@ -72,6 +78,58 @@ class TestListValues:
         assert not out.exists()
         with pytest.raises(ConfigError):
             build_config("approx", {"n_list": [1e300]}, {})
+
+
+class TestExitCodes:
+    """The one error -> exit-code map, one case per mapped error."""
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ConfigError("bad key"), 2),
+            (OutOfBranchError("outside both branches"), 2),
+            (MemoryError(), 2),
+            (NonconvergenceError("stuck", diagnostics={"iterations": 7}), 3),
+            (OSError("disk full"), 4),
+        ],
+        ids=["config", "widthlab", "memory", "nonconvergence", "os"],
+    )
+    def test_runner_error(self, tmp_path, capsys, monkeypatch, error, code):
+        def failing(config):
+            raise error
+
+        monkeypatch.setitem(cli.RUNNERS, "catalog", failing)
+        out = tmp_path / "out"
+        assert run(["catalog", "--all", "--out", str(out)]) == code
+        if code == 3:
+            report = json.loads(read(out / "report.json"))["report"]
+            assert report == {"nonconvergence": True, "diagnostics": {"iterations": 7}}
+            assert (out / "results.csv").exists()
+        else:
+            assert capsys.readouterr().err.count("\n") == 1
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, code", [(None, 4), (b"{", 2), (b"\xff\xfe", 2)], ids=["missing", "bad-json", "not-text"]
+    )
+    def test_config_file(self, tmp_path, capsys, content, code):
+        cfg = tmp_path / "c.json"
+        if content is not None:
+            cfg.write_bytes(content)
+        out = tmp_path / "out"
+        assert run(["catalog", "--all", "--config", str(cfg), "--out", str(out)]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_solver_cap_in_approx_exits_3(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(widthlab.norms, "IRLS_MAX_ITER", 1)
+        out = tmp_path / "out"
+        args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8", "--budget", "2"]
+        assert run(args + ["--out", str(out)]) == 3
+        report = json.loads(read(out / "report.json"))["report"]
+        assert report["nonconvergence"] is True
+        assert report["diagnostics"]["iterations"] == 1
+        assert report["diagnostics"]["q"] == 3.0
 
 
 class TestImportGraph:

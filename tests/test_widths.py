@@ -7,9 +7,11 @@ import pytest
 from widthlab import (
     BallWidthInstance,
     DimensionGuardError,
+    NonconvergenceError,
     OutOfBranchError,
     ball_width_bruteforce,
     coordinate_subspace_bound,
+    norms,
     phi_gluskin,
     widths,
 )
@@ -216,3 +218,28 @@ class TestDualInnerSup:
         for seed in (1, 2, 3):
             for n in range(1, 5):
                 assert ball_width_bruteforce(BallWidthInstance(5, n, 3.0, 3.0), seed=seed, **SWEEP).value == 1.0
+
+
+class TestVertexSup:
+    """The p = 1 inner supremum: one batched l_q regression over the vertices."""
+
+    # Above q = 2 the distance is smooth in the frame; below it |r|^(q-1)
+    # is not, and the envelope gradient inherits the solver's tolerance.
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_frame_gradient_matches_central_differences(self, q):
+        rng = np.random.default_rng(21)
+        frame = widths._orthonormalize(rng.standard_normal((5, 2)))
+        _, state = widths._vertex_sup(frame, q)
+        grad = np.outer(*state)
+        h = 1e-4
+        for _ in range(3):
+            e = rng.standard_normal(frame.shape)
+            up, _ = widths._vertex_sup(frame + h * e, q)
+            down, _ = widths._vertex_sup(frame - h * e, q)
+            assert (up - down) / (2 * h) == pytest.approx(np.sum(grad * e), rel=1e-6)
+
+    def test_solver_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(norms, "IRLS_MAX_ITER", 1)
+        frame = widths._orthonormalize(np.random.default_rng(22).standard_normal((5, 2)))
+        with pytest.raises(NonconvergenceError):
+            widths._vertex_sup(frame, 1.5)
