@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import os
 import sys
 
@@ -163,7 +162,7 @@ def _kernel_from_config(config):
 def run_approx(config):
     _require(config, "n_list")
     kernel = _kernel_from_config(config)
-    p, q, gamma = config["p"], config["q"], config["gamma"]
+    p, q = config["p"], config["q"]
     exact = p == 2.0 and q == 2.0
     n_list = [int(n) for n in config["n_list"]]
     seeds = np.random.SeedSequence(config["seed"]).spawn(len(n_list))
@@ -175,8 +174,6 @@ def run_approx(config):
         else:
             upper = en_lower_search(kernel, p, q, n, budget=config["budget"], seed=seed)
             rows.append((n, "en_lower_search", upper))
-        if config["family"] == "polylog" and n > 1:
-            rows.append((n, "catalog_rate", math.log(n) ** (-gamma)))
     report = {
         "quantities": sorted({r[1] for r in rows}),
         "upper_path": "exact-l2" if exact else "candidate-search",

@@ -49,10 +49,6 @@ class TrigPoly:
         return len(self.a)
 
     @classmethod
-    def zero(cls, degree=0):
-        return cls(0.0, np.zeros(degree), np.zeros(degree))
-
-    @classmethod
     def harmonic(cls, k, cos_amp=1.0, sin_amp=0.0):
         """Single harmonic cos_amp*cos(kx) + sin_amp*sin(kx)."""
         if k == 0:
@@ -66,12 +62,6 @@ class TrigPoly:
     def coeff_vector(self):
         """Flat coefficient vector (a0, a_1..a_n, b_1..b_n)."""
         return np.concatenate(([self.a0], self.a, self.b))
-
-    def truncate(self, degree):
-        if degree >= self.degree:
-            pad = degree - self.degree
-            return TrigPoly(self.a0, np.pad(self.a, (0, pad)), np.pad(self.b, (0, pad)))
-        return TrigPoly(self.a0, self.a[:degree], self.b[:degree])
 
 
 @dataclass(frozen=True)

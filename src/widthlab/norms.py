@@ -142,13 +142,11 @@ def _lq_regress(phi, x, q, c):
     return c * scale, False
 
 
-def best_approx(f, n, q, force_iterative=False):
+def best_approx(f, n, q):
     """Best approximation of f from T_n in L_q; returns (error, argmin).
 
     Convex in the coefficients for 1 < q < infinity.  The q = 2 answer is the
     Fourier partial sum; other q start there and reweight (_lq_regress).
-    force_iterative routes q = 2 through the reweighting loop as well
-    (cross-check hook).
     """
     if not 1.0 < q < np.inf:
         raise InvalidExponentError(f"q must lie in (1, inf), got {q}")
@@ -156,7 +154,7 @@ def best_approx(f, n, q, force_iterative=False):
         raise GridTooCoarseError(f"grid of {f.size} points too coarse for degree {n}")
 
     partial = analyze(f, n)
-    if q == 2.0 and not force_iterative:
+    if q == 2.0:
         resid = GridFunction(f.samples - eval_poly(partial, f.grid))
         return lp_norm(resid, 2.0), partial
 

@@ -18,6 +18,7 @@ FIT_MIN_POINTS = 6
 FIT_MIN_N = 8
 RESIDUAL_FLOOR = 1e-14
 PARSIMONY_RATIO = 10.0
+FIT_XATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -266,6 +267,24 @@ def _fit_exp_at_r(r, n, logv):
     return _lstsq(design, logv)
 
 
+def _golden_min(f, lo, hi):
+    """Golden-section search (Kiefer 1953) for the minimum of f on [lo, hi],
+    taken to be unimodal there, down to a bracket of FIT_XATOL."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > FIT_XATOL:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - shrink * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + shrink * (hi - lo)
+            fd = f(d)
+    return float(c if fc <= fd else d)
+
+
 def fit_rate(points):
     """Least-squares fit in log space over the three families.
 
@@ -273,15 +292,12 @@ def fit_rate(points):
     ties: a richer family is chosen only when it beats the simpler one's
     residual by a factor of 10.
     """
-    # Imported here, not at module scope: only fitting needs scipy, and
-    # loading it would add most of the CLI's start-up time to every run.
-    from scipy.optimize import minimize_scalar
-
-    pts = sorted(points)
+    pts = np.asarray(sorted(points), dtype=float).reshape(-1, 2)
     if len(pts) < FIT_MIN_POINTS:
         raise DegenerateDataError(f"need at least {FIT_MIN_POINTS} points, got {len(pts)}")
-    n = np.asarray([x for x, _ in pts], dtype=float)
-    v = np.asarray([y for _, y in pts], dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise DegenerateDataError("n and values must be finite")
+    n, v = pts.T
     if np.any(v <= 0):
         raise DegenerateDataError("values must be positive")
     if np.all(v == v[0]):
@@ -291,6 +307,8 @@ def fit_rate(points):
     mask = n >= FIT_MIN_N
     if np.count_nonzero(mask) >= FIT_MIN_POINTS:
         n, v = n[mask], v[mask]
+    if n[0] <= 1:
+        raise DegenerateDataError(f"the fit needs n > 1 (log log n), got n = {n[0]:g}")
     logv = np.log(v)
     logn = np.log(n)
 
@@ -307,11 +325,7 @@ def fit_rate(points):
     best_idx = int(np.argmin(grid_res))
     lo = grid[max(best_idx - 1, 0)]
     hi = grid[min(best_idx + 1, len(grid) - 1)]
-    opt = minimize_scalar(
-        lambda r: _fit_exp_at_r(r, n, logv)[1], bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    r_best = float(opt.x)
+    r_best = _golden_min(lambda r: _fit_exp_at_r(r, n, logv)[1], lo, hi)
     coef_e, res_e = _fit_exp_at_r(r_best, n, logv)
     exp_model = RateModel(
         "exp", c=math.exp(coef_e[0]), mu=coef_e[1], r=r_best, b=coef_e[2]

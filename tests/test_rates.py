@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthlab import (
     DegenerateDataError,
@@ -12,6 +15,7 @@ from widthlab import (
     optimality_verdict,
     width_rate,
 )
+from widthlab import rates
 
 
 class TestWidthRate:
@@ -187,3 +191,39 @@ class TestFitRate:
             fit_rate([(n, -(n**-1.0)) for n in self.NS])
         with pytest.raises(DegenerateDataError):
             fit_rate([(8, 1.0), (16, 0.5)])
+
+
+class TestGoldenMin:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.floats(0.2, 5.0),
+        mu=st.floats(0.02, 2.0),
+        r=st.floats(0.05, 2.0),
+        b=st.floats(-1.0, 1.0),
+        npts=st.integers(6, 13),
+        noise=st.sampled_from([0.0, 1e-6, 1e-3, 1e-2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refines_the_grid_minimum(self, c, mu, r, b, npts, noise, seed):
+        """On an exp series c exp(-mu n^r) n^b with log-normal noise, the
+        refined residual is not above the best of fit_rate's 40-point grid,
+        and the refined r is the minimizer of a dense scan of the bracket to
+        the scan's step.  Where the grid node is already the exact minimizer
+        (noise-free data, r on the grid) the refine may land up to FIT_XATOL
+        away, so its own change over one FIT_XATOL step is allowed, plus
+        RESIDUAL_FLOOR for rounding."""
+        n = np.asarray(TestFitRate.NS[:npts], dtype=float)
+        noise = noise * np.random.default_rng(seed).standard_normal(npts)
+        logv = math.log(c) - mu * n**r + b * np.log(n) + noise
+
+        def residual(x):
+            return rates._fit_exp_at_r(x, n, logv)[1]
+
+        grid = np.linspace(0.05, 2.0, 40)
+        i = int(np.argmin([residual(x) for x in grid]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        best = rates._golden_min(residual, lo, hi)
+        step_change = max(residual(best - rates.FIT_XATOL), residual(best + rates.FIT_XATOL)) - residual(best)
+        assert residual(best) <= residual(grid[i]) + max(step_change, 0.0) + rates.RESIDUAL_FLOOR
+        scan = np.linspace(lo, hi, 1001)
+        assert abs(best - scan[np.argmin([residual(x) for x in scan])]) <= scan[1] - scan[0]
