@@ -4,6 +4,7 @@ classes, Kolmogorov widths of l_p balls, and asymptotic rate checks."""
 from .classes import (
     OptimalityReport,
     PipelineReport,
+    SearchReport,
     en_exact_l2,
     en_lower_search,
     lower_bound_pipeline,

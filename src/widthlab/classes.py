@@ -5,7 +5,7 @@ produces the logarithmic lower bound.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -14,17 +14,22 @@ from .fourier import (
     MultiplierKernel,
     PolyLog,
     TrigPoly,
-    apply_multiplier,
+    _multiplier_rows,
     convolution_constant,
     default_grid_size,
-    synthesize,
+    synthesize_rows,
 )
-from .norms import best_approx, poly_lp_norm
+# best_approx is also looked up as classes.best_approx.
+from .norms import best_approx, best_approx_rows, poly_lp_norms  # noqa: F401
 from .widths import BallWidthInstance, phi_gluskin
 
 logger = logging.getLogger(__name__)
 
 M_CAP = 10**6
+# Candidates scored per batch.  Eight rows hold the quadrature's largest
+# transforms (49,664-point midpoint grids at degree 96) near 3 MB per array;
+# whole candidate phases ran no faster and took 16 MB per batch.
+SEARCH_ROWS = 8
 
 
 def _check_degree(n):
@@ -47,63 +52,98 @@ def en_exact_l2(kernel, n):
     return convolution_constant() * float(np.max(lam[n:]))
 
 
-def en_lower_search(kernel, p, q, n, budget=100, seed=0):
+@dataclass(frozen=True)
+class SearchReport:
+    """The value of one en_lower_search, how many candidates it evaluated and
+    which phase found the winner ("harmonic" with its k, "random",
+    "perturbation", or "none" when every candidate scored 0)."""
+
+    value: float
+    evaluated: int
+    winner: str
+    k: int | None = None
+
+
+def _class_errors(kernel, rows, p, q, n, grid):
+    """best_approx errors in L_q of K * phi / ||phi||_p for candidate rows phi,
+    scored SEARCH_ROWS rows at a time."""
+    errors = []
+    for i in range(0, len(rows), SEARCH_ROWS):
+        block = rows[i : i + SEARCH_ROWS]
+        norms = poly_lp_norms(block, p)
+        # A zero row has a zero image, and so the value 0.
+        norms = np.where(norms > 0.0, norms, np.inf)[:, None]
+        image = convolution_constant() * _multiplier_rows(kernel, block) / norms
+        errors.append(best_approx_rows(synthesize_rows(image, grid), n, q)[0])
+    return np.concatenate(errors)
+
+
+def en_lower_search(kernel, p, q, n, budget=100, seed=0, detail=False):
     """Lower estimate of the worst-case T_n error over K * U_p in L_q.
 
     Maximizes best_approx(K * phi, n, q) over a candidate family of phi with
-    unit L_p norm: single harmonics beyond degree n, random polynomials, and
-    perturbation-improved candidates.  Deterministic given the seed.
+    unit L_p norm: the single harmonics n+1..n+8, then half the remaining
+    budget in random polynomials, then perturbations of the best candidate,
+    each kept when it scores higher.  Deterministic given the seed.
+
+    Candidates are scored in batches of up to SEARCH_ROWS coefficient rows:
+    one quadrature, one synthesis and one batched best_approx per batch.  The
+    perturbations all keep the best candidate's degree, so their draws are
+    made up front; after one is kept, the later draws are scored again about
+    the new best, as a one-at-a-time search would score them.  With
+    detail=True, returns a SearchReport instead of the value.
     """
     _check_degree(n)
     rng = np.random.default_rng(seed)
-    const = convolution_constant()
     degree = min(max(2 * n, n + 8), kernel.truncation)
     grid = default_grid_size(degree)
-
-    def class_error(phi):
-        norm = poly_lp_norm(phi, p)
-        if norm == 0.0:
-            return 0.0
-        f_poly = apply_multiplier(kernel, phi)
-        f_poly = TrigPoly(0.0, const * f_poly.a / norm, const * f_poly.b / norm)
-        err, _ = best_approx(synthesize(f_poly, grid), n, q)
-        return err
-
-    evals = 0
-    best_val = 0.0
+    best = SearchReport(0.0, 0, "none")
     best_phi = None
-    for k in range(n + 1, min(n + 9, kernel.truncation + 1)):
-        if evals >= budget:
-            break
-        val = class_error(TrigPoly.harmonic(k))
-        evals += 1
-        if val > best_val:
-            best_val, best_phi = val, TrigPoly.harmonic(k)
+
+    ks = np.arange(n + 1, min(n + 9, kernel.truncation + 1))[: max(budget, 0)]
+    if len(ks):
+        rows = np.zeros((len(ks), 2 * ks[-1] + 1))
+        rows[np.arange(len(ks)), ks] = 1.0
+        vals = _class_errors(kernel, rows, p, q, n, grid)
+        i = int(np.argmax(vals))
+        if vals[i] > best.value:
+            best = SearchReport(float(vals[i]), 0, "harmonic", int(ks[i]))
+            best_phi = TrigPoly.harmonic(best.k).coeff_vector()
+    evals = len(ks)
 
     n_random = max(0, (budget - evals) // 2)
-    for _ in range(n_random):
-        coeffs = rng.standard_normal(2 * degree + 1)
-        phi = TrigPoly(coeffs[0], coeffs[1 : degree + 1], coeffs[degree + 1 :])
-        val = class_error(phi)
-        evals += 1
-        if val > best_val:
-            best_val, best_phi = val, phi
+    if n_random:
+        rows = rng.standard_normal((n_random, 2 * degree + 1))
+        vals = _class_errors(kernel, rows, p, q, n, grid)
+        i = int(np.argmax(vals))
+        if vals[i] > best.value:
+            best = SearchReport(float(vals[i]), 0, "random")
+            best_phi = rows[i]
+        evals += n_random
 
-    while evals < budget and best_phi is not None:
-        scale = 0.3 * rng.random()
-        pert = rng.standard_normal(2 * best_phi.degree + 1) * scale
-        cand = TrigPoly(
-            best_phi.a0 + pert[0],
-            best_phi.a + pert[1 : best_phi.degree + 1],
-            best_phi.b + pert[best_phi.degree + 1 :],
-        )
-        val = class_error(cand)
-        evals += 1
-        if val > best_val:
-            best_val, best_phi = val, cand
-    if evals >= budget:
-        logger.debug("en_lower_search exhausted budget of %d evaluations", budget)
-    return float(best_val)
+    if best_phi is not None and evals < budget:
+        perts = []
+        for _ in range(budget - evals):
+            scale = 0.3 * rng.random()
+            perts.append(rng.standard_normal(len(best_phi)) * scale)
+        perts = np.array(perts)
+        evals = budget
+        i = 0
+        while i < len(perts):
+            block = perts[i : i + SEARCH_ROWS]
+            vals = _class_errors(kernel, best_phi + block, p, q, n, grid)
+            kept = np.flatnonzero(vals > best.value)
+            if not len(kept):
+                i += SEARCH_ROWS
+                continue
+            # Keep the first better draw; the draws after it are scored
+            # again about the new best.
+            best = SearchReport(float(vals[kept[0]]), 0, "perturbation")
+            best_phi = best_phi + block[kept[0]]
+            i += int(kept[0]) + 1
+
+    best = replace(best, evaluated=evals)
+    return best if detail else best.value
 
 
 @dataclass(frozen=True)

@@ -167,17 +167,21 @@ def run_approx(config):
     n_list = [int(n) for n in config["n_list"]]
     seeds = np.random.SeedSequence(config["seed"]).spawn(len(n_list))
 
-    rows = []
+    rows, searches = [], []
     for n, seed in zip(n_list, seeds):
         if exact:
             rows.append((n, "en_exact_l2", en_exact_l2(kernel, n)))
         else:
-            upper = en_lower_search(kernel, p, q, n, budget=config["budget"], seed=seed)
-            rows.append((n, "en_lower_search", upper))
+            search = en_lower_search(kernel, p, q, n, budget=config["budget"], seed=seed, detail=True)
+            rows.append((n, "en_lower_search", search.value))
+            # Per n: candidates evaluated and the phase (harmonic k) of the winner.
+            searches.append({"n": n, "candidates": search.evaluated, "winner": search.winner, "k": search.k})
     report = {
         "quantities": sorted({r[1] for r in rows}),
         "upper_path": "exact-l2" if exact else "candidate-search",
     }
+    if searches:
+        report["search"] = searches
     series = _series_from_rows(rows)
     return rows, ("n", "quantity", "value"), report, series
 

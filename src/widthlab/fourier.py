@@ -211,16 +211,45 @@ def default_grid_size(degree):
     return max(256, 8 * (degree + 1))
 
 
-def analyze(f, m):
-    """Degree-m Fourier partial sum of f by discrete quadrature (projection S_m)."""
-    n = f.size
+def _analyze_rows(samples, m):
+    """Degree-m partial-sum coefficient rows (a0, a, b) of uniform-grid sample rows.
+
+    The samples lie along the last axis; any leading axes are batch axes.
+    """
+    samples = np.asarray(samples, dtype=float)
+    n = samples.shape[-1]
     if n < 2 * m + 1:
         raise GridTooCoarseError(f"need at least {2 * m + 1} samples for degree {m}, got {n}")
-    spec = np.fft.rfft(f.samples) / n
-    a0 = spec[0].real
-    a = 2.0 * spec[1 : m + 1].real
-    b = -2.0 * spec[1 : m + 1].imag
-    return TrigPoly(a0, a, b)
+    spec = np.fft.rfft(samples, axis=-1) / n
+    return np.concatenate(
+        (spec[..., :1].real, 2.0 * spec[..., 1 : m + 1].real, -2.0 * spec[..., 1 : m + 1].imag), axis=-1
+    )
+
+
+def analyze(f, m):
+    """Degree-m Fourier partial sum of f by discrete quadrature (projection S_m)."""
+    c = _analyze_rows(f.samples, m)
+    return TrigPoly(c[0], c[1 : m + 1], c[m + 1 :])
+
+
+def _multiplier_rows(kernel, coeffs):
+    """Multiplier action on coefficient rows (a0, a, b), constant term dropped.
+
+    Each harmonic is scaled by lambda_k and turned by theta = beta*pi/2.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    degree = (coeffs.shape[-1] - 1) // 2
+    if degree > kernel.truncation:
+        raise TruncationExceededError(
+            f"degree {degree} exceeds kernel truncation {kernel.truncation}"
+        )
+    lam = kernel.lambdas(degree)
+    theta = kernel.beta * np.pi / 2.0
+    c, s = np.cos(theta), np.sin(theta)
+    a, b = coeffs[..., 1 : degree + 1], coeffs[..., degree + 1 :]
+    return np.concatenate(
+        (np.zeros_like(coeffs[..., :1]), lam * (a * c - b * s), lam * (a * s + b * c)), axis=-1
+    )
 
 
 def apply_multiplier(kernel, phi, keep_constant=False):
@@ -228,16 +257,8 @@ def apply_multiplier(kernel, phi, keep_constant=False):
 
     The constant term is dropped by default (the harmonic sums start at k=1).
     """
-    if phi.degree > kernel.truncation:
-        raise TruncationExceededError(
-            f"degree {phi.degree} exceeds kernel truncation {kernel.truncation}"
-        )
-    lam = kernel.lambdas(phi.degree)
-    theta = kernel.beta * np.pi / 2.0
-    c, s = np.cos(theta), np.sin(theta)
-    a = lam * (phi.a * c - phi.b * s)
-    b = lam * (phi.a * s + phi.b * c)
-    return TrigPoly(phi.a0 if keep_constant else 0.0, a, b)
+    c = _multiplier_rows(kernel, phi.coeff_vector())
+    return TrigPoly(phi.a0 if keep_constant else 0.0, c[1 : phi.degree + 1], c[phi.degree + 1 :])
 
 
 def synthesize_kernel(kernel, n_grid):

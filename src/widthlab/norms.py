@@ -2,10 +2,11 @@
 
 _lq_regress is the package's one L_q solver: batched iteratively reweighted
 least squares (Burrus, Barreto & Selesnick, IEEE TSP 1994) over data rows
-sharing one basis.  best_approx runs it on the 2n+1 trigonometric basis
-coefficients, warm-started from the Fourier partial sum (already the exact
-q = 2 minimizer); the p = 1 brute-force widths run it on the vertices of
-the l_1 ball.
+sharing one basis.  best_approx_rows runs it on the 2n+1 trigonometric basis
+coefficients of many sample rows at once, warm-started from their Fourier
+partial sums (already the exact q = 2 minimizers); best_approx is its
+one-row case.  The p = 1 brute-force widths run it on the vertices of the
+l_1 ball.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from .errors import (
     InvalidExponentError,
     NonconvergenceError,
 )
-from .fourier import GridFunction, TrigPoly, analyze, eval_poly, synthesize_rows
+from .fourier import TrigPoly, _analyze_rows, analyze, synthesize_rows
 
 QUADRATURE_TOL = 1e-10
 QUADRATURE_CAP = 2**16
@@ -25,6 +26,9 @@ QUADRATURE_CAP = 2**16
 # (33,280 points), or 16 rows of an even-p grid at the cap.  The FFT
 # vectorises across rows; blocks of 1-4 capped rows ran 35-55% slower.
 QUADRATURE_BLOCK = 2**20
+# Most samples in one block of best_approx_rows' weighted basis (rows x grid
+# points x basis functions).
+IRLS_BLOCK = QUADRATURE_BLOCK
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 200
 
@@ -94,11 +98,16 @@ def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
     return prev
 
 
-def poly_lp_norm(t, p, tol=QUADRATURE_TOL):
-    """L_p norm of a trigonometric polynomial by grid-refined quadrature."""
+def poly_lp_norms(coeffs, p, tol=QUADRATURE_TOL):
+    """L_p norms of coefficient rows (a0, a, b) by grid-refined quadrature."""
     if not 1 <= p < np.inf:
         raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
-    return float(_quadrature_lp(t.coeff_vector(), p, tol))
+    return _quadrature_lp(np.asarray(coeffs, dtype=float), p, tol)
+
+
+def poly_lp_norm(t, p, tol=QUADRATURE_TOL):
+    """L_p norm of a trigonometric polynomial: the one-row case of poly_lp_norms."""
+    return float(poly_lp_norms(t.coeff_vector(), p, tol))
 
 
 def _design_matrix(x, n):
@@ -142,31 +151,48 @@ def _lq_regress(phi, x, q, c):
     return c * scale, False
 
 
-def best_approx(f, n, q):
-    """Best approximation of f from T_n in L_q; returns (error, argmin).
+def best_approx_rows(samples, n, q, start=None):
+    """Best approximations from T_n in L_q of sample rows on one uniform grid.
 
-    Convex in the coefficients for 1 < q < infinity.  The q = 2 answer is the
-    Fourier partial sum; other q start there and reweight (_lq_regress).
+    Returns the L_q errors and the argmin coefficient rows (a0, a, b).  The
+    start rows default to the Fourier partial sums, already the q = 2
+    answers; other q reweight from there (_lq_regress), in blocks of rows
+    whose weighted basis holds at most IRLS_BLOCK samples.  Convex in the
+    coefficients for 1 < q < infinity.
     """
     if not 1.0 < q < np.inf:
         raise InvalidExponentError(f"q must lie in (1, inf), got {q}")
-    if f.size < 2 * n + 1:
-        raise GridTooCoarseError(f"grid of {f.size} points too coarse for degree {n}")
+    samples = np.asarray(samples, dtype=float)
+    size = samples.shape[-1]
+    if size < 2 * n + 1:
+        raise GridTooCoarseError(f"grid of {size} points too coarse for degree {n}")
 
-    partial = analyze(f, n)
-    if q == 2.0:
-        resid = GridFunction(f.samples - eval_poly(partial, f.grid))
-        return lp_norm(resid, 2.0), partial
-
-    phi = _design_matrix(f.grid, n)
-    (c,), converged = _lq_regress(phi, f.samples[None, :], q, partial.coeff_vector()[None, :])
-    err = lp_norm(GridFunction(f.samples - phi @ c), q)
+    c = _analyze_rows(samples, n) if start is None else start
+    phi = _design_matrix(2.0 * np.pi * np.arange(size) / size, n)
+    converged = True
+    if q != 2.0:
+        step = max(1, IRLS_BLOCK // phi.size)
+        blocks = [
+            _lq_regress(phi, samples[i : i + step], q, c[i : i + step]) for i in range(0, len(samples), step)
+        ]
+        c = np.concatenate([block for block, _ in blocks])
+        converged = all(ok for _, ok in blocks)
+    errors = _trapezoid_lp(samples - c @ phi.T, q)
     if not converged:
         raise NonconvergenceError(
             "best_approx IRLS did not converge",
-            diagnostics={"iterations": IRLS_MAX_ITER, "error": err, "q": q, "n": n},
+            diagnostics={"iterations": IRLS_MAX_ITER, "error": float(np.max(errors)), "q": q, "n": n},
         )
-    return err, _coeffs_to_poly(c, n)
+    return errors, c
+
+
+def best_approx(f, n, q):
+    """Best approximation of f from T_n in L_q; returns (error, argmin).
+
+    The one-row case of best_approx_rows, started from analyze(f, n).
+    """
+    (err,), (c,) = best_approx_rows(f.samples[None, :], n, q, analyze(f, n).coeff_vector()[None, :])
+    return float(err), _coeffs_to_poly(c, n)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthlab import (
     MultiplierKernel,
@@ -18,9 +20,53 @@ from widthlab import (
     optimality_gap,
     synthesize,
 )
-from widthlab.classes import M_CAP
-from widthlab.fourier import Exponential, analyze, apply_multiplier
+from widthlab import norms
+from widthlab.classes import M_CAP, SEARCH_ROWS
+from widthlab.fourier import Exponential, Polynomial, analyze, apply_multiplier, default_grid_size
 from widthlab.norms import lp_norm, poly_lp_norm
+
+
+def sequential_search(kernel, p, q, n, budget, seed):
+    """en_lower_search scored one candidate at a time through poly_lp_norm
+    and best_approx; returns the value and how many perturbations it kept."""
+    rng = np.random.default_rng(seed)
+    const = convolution_constant()
+    degree = min(max(2 * n, n + 8), kernel.truncation)
+    grid = default_grid_size(degree)
+
+    def class_error(phi):
+        norm = poly_lp_norm(phi, p)
+        if norm == 0.0:
+            return 0.0
+        image = apply_multiplier(kernel, phi)
+        image = TrigPoly(0.0, const * image.a / norm, const * image.b / norm)
+        return best_approx(synthesize(image, grid), n, q)[0]
+
+    evals, best_val, best_phi, kept = 0, 0.0, None, 0
+    for k in range(n + 1, min(n + 9, kernel.truncation + 1)):
+        if evals >= budget:
+            break
+        val = class_error(TrigPoly.harmonic(k))
+        evals += 1
+        if val > best_val:
+            best_val, best_phi = val, TrigPoly.harmonic(k)
+    for _ in range(max(0, (budget - evals) // 2)):
+        c = rng.standard_normal(2 * degree + 1)
+        phi = TrigPoly(c[0], c[1 : degree + 1], c[degree + 1 :])
+        val = class_error(phi)
+        evals += 1
+        if val > best_val:
+            best_val, best_phi = val, phi
+    while evals < budget and best_phi is not None:
+        d = best_phi.degree
+        scale = 0.3 * rng.random()
+        pert = rng.standard_normal(2 * d + 1) * scale
+        cand = TrigPoly(best_phi.a0 + pert[0], best_phi.a + pert[1 : d + 1], best_phi.b + pert[d + 1 :])
+        val = class_error(cand)
+        evals += 1
+        if val > best_val:
+            best_val, best_phi, kept = val, cand, kept + 1
+    return best_val, kept
 
 
 class TestEnExactL2:
@@ -94,6 +140,65 @@ class TestEnLowerSearch:
         a = en_lower_search(kernel, 1.5, 2.5, 3, budget=15, seed=9)
         b = en_lower_search(kernel, 1.5, 2.5, 3, budget=15, seed=9)
         assert a == b
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(0, 10),
+        extra=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.integers(1, 30),
+        p=st.floats(1.1, 4.0),
+        q=st.floats(1.2, 6.0),
+        family=st.sampled_from([Polynomial(1.0), Polynomial(0.2), PolyLog(0.0, 1.0)]),
+    )
+    def test_batches_match_the_one_at_a_time_search(self, n, extra, seed, budget, p, q, family):
+        # Truncations below n+8 (7 of the 16 offsets) cut the harmonics
+        # n+1..n+8 short; budgets below 8 stop inside them.
+        kernel = MultiplierKernel(family, truncation=n + extra)
+        expected, _ = sequential_search(kernel, p, q, n, budget, seed)
+        assert en_lower_search(kernel, p, q, n, budget=budget, seed=seed) == pytest.approx(expected, rel=1e-9)
+
+    def test_kept_perturbations_match_the_one_at_a_time_search(self):
+        # Random candidates win at this small truncation, and the search keeps
+        # four perturbations, the first of them second in its batch, so the
+        # later draws are scored again.
+        kernel = MultiplierKernel(Polynomial(0.2), truncation=12)
+        expected, kept = sequential_search(kernel, 1.5, 3.0, 2, 30, 2)
+        search = en_lower_search(kernel, 1.5, 3.0, 2, budget=30, seed=2, detail=True)
+        assert kept == 4
+        assert (search.winner, search.evaluated, search.k) == ("perturbation", 30, None)
+        assert search.value == pytest.approx(expected, rel=1e-9)
+
+    def test_reports_the_winning_harmonic(self):
+        kernel = MultiplierKernel(Polynomial(1.0), truncation=4096)
+        search = en_lower_search(kernel, 1.5, 3.0, 8, budget=60, seed=1, detail=True)
+        assert (search.winner, search.k, search.evaluated) == ("harmonic", 9, 60)
+        assert search.value == en_lower_search(kernel, 1.5, 3.0, 8, budget=60, seed=1)
+
+    @pytest.mark.parametrize(
+        "r, truncation, n, seed", [(1.0, 4096, 8, 1), (0.2, 12, 2, 2)], ids=["harmonic-wins", "perturbations-kept"]
+    )
+    def test_one_solve_per_batch_not_per_candidate(self, monkeypatch, r, truncation, n, seed):
+        calls = {"_quadrature_lp": 0, "_lq_regress": 0}
+        for name in calls:
+            original = getattr(norms, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(norms, name, counted)
+        kernel = MultiplierKernel(Polynomial(r), truncation=truncation)
+        budget = 60
+        en_lower_search(kernel, 1.5, 3.0, n, budget=budget, seed=seed)
+        monkeypatch.undo()
+        _, kept = sequential_search(kernel, 1.5, 3.0, n, budget, seed)
+        # Harmonics, random candidates and perturbations in batches of
+        # SEARCH_ROWS rows, plus one batch more for each kept perturbation;
+        # one IRLS block holds a whole batch at these sizes.
+        batches = 1 + 2 * math.ceil(26 / SEARCH_ROWS) + kept
+        assert 0 < calls["_quadrature_lp"] <= batches < budget / 3
+        assert 0 < calls["_lq_regress"] <= batches
 
 
 class TestLowerBoundPipeline:

@@ -277,6 +277,15 @@ class TestApproxCommand:
         assert rows[("8", "en_exact_l2")] == pytest.approx(0.5 * math.log(10) ** -1)
         assert {quantity for _, quantity in rows} == {"en_exact_l2"}
 
+    def test_search_report_per_n(self, tmp_path):
+        args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8", "12", "--budget", "12"]
+        assert run(args + ["--out", str(tmp_path)]) == 0
+        report = json.loads(read(tmp_path / "report.json"))["report"]
+        assert report["search"] == [
+            {"n": 8, "candidates": 12, "winner": "harmonic", "k": 9},
+            {"n": 12, "candidates": 12, "winner": "harmonic", "k": 13},
+        ]
+
     @pytest.mark.parametrize(
         "args",
         [

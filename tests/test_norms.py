@@ -170,6 +170,24 @@ class TestBestApprox:
         tail = math.sqrt(math.pi * (np.sum(t.a[10:] ** 2) + np.sum(t.b[10:] ** 2)))
         assert err == pytest.approx(tail, rel=1e-8)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.integers(1, 40).flatmap(lambda d: st.tuples(st.just(d), st.integers(0, d))),
+        rows=st.integers(1, 4),
+    )
+    def test_parseval_tail_property(self, seed, shape, rows):
+        # err^2 = pi * sum_{k>n} (a_k^2 + b_k^2), for best_approx and for the
+        # batched rows alike.
+        degree, n = shape
+        coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
+        a, b = coeffs[:, 1 : degree + 1], coeffs[:, degree + 1 :]
+        tails = math.pi * np.sum(a[:, n:] ** 2 + b[:, n:] ** 2, axis=1)
+        errors, _ = norms.best_approx_rows(synthesize_rows(coeffs, 256), n, 2.0)
+        np.testing.assert_allclose(errors**2, tails, rtol=1e-9, atol=1e-20)
+        err, _ = best_approx(synthesize(TrigPoly(coeffs[0, 0], a[0], b[0]), 256), n, 2.0)
+        assert err**2 == pytest.approx(tails[0], rel=1e-9, abs=1e-20)
+
     def test_error_nonincreasing_in_n(self):
         rng = np.random.default_rng(9)
         f = synthesize(random_poly(rng, 16), 256)
