@@ -2,19 +2,16 @@
 classes, Kolmogorov widths of l_p balls, and asymptotic rate checks."""
 
 from .classes import (
-    OptimalityReport,
     PipelineReport,
     SearchReport,
     en_exact_l2,
     en_lower_search,
     lower_bound_pipeline,
-    optimality_gap,
 )
 from .errors import (
     ConfigError,
     DegenerateDataError,
     DimensionGuardError,
-    GridMismatchError,
     GridTooCoarseError,
     InvalidDimensionError,
     InvalidExponentError,
@@ -35,18 +32,14 @@ from .fourier import (
     analyze,
     apply_multiplier,
     convolution_constant,
-    convolve,
     default_grid_size,
     eval_poly,
     synthesize,
-    synthesize_kernel,
 )
 from .norms import (
-    DiscretizedPoly,
     best_approx,
     lp_norm,
     mz_ratio_stats,
-    mz_sample,
     poly_lp_norm,
 )
 from .rates import (

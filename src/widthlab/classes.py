@@ -5,20 +5,12 @@ produces the logarithmic lower bound.
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, OutOfBranchError, TruncationExceededError
-from .fourier import (
-    MultiplierKernel,
-    PolyLog,
-    TrigPoly,
-    _multiplier_rows,
-    convolution_constant,
-    default_grid_size,
-    synthesize_rows,
-)
+from .errors import InvalidDimensionError, InvalidExponentError, OutOfBranchError, TruncationExceededError
+from .fourier import _multiplier_rows, convolution_constant, default_grid_size, synthesize_rows
 # best_approx is also looked up as classes.best_approx.
 from .norms import best_approx, best_approx_rows, poly_lp_norms  # noqa: F401
 from .widths import BallWidthInstance, phi_gluskin
@@ -26,10 +18,6 @@ from .widths import BallWidthInstance, phi_gluskin
 logger = logging.getLogger(__name__)
 
 M_CAP = 10**6
-# Candidates scored per batch.  Eight rows hold the quadrature's largest
-# transforms (49,664-point midpoint grids at degree 96) near 3 MB per array;
-# whole candidate phases ran no faster and took 16 MB per batch.
-SEARCH_ROWS = 8
 
 
 def _check_degree(n):
@@ -54,9 +42,9 @@ def en_exact_l2(kernel, n):
 
 @dataclass(frozen=True)
 class SearchReport:
-    """The value of one en_lower_search, how many candidates it evaluated and
-    which phase found the winner ("harmonic" with its k, "random",
-    "perturbation", or "none" when every candidate scored 0)."""
+    """The value of one en_lower_search, how many harmonics it scored and the
+    winner: "harmonic" with its k, or "none" when every harmonic scored 0 or
+    none lies within the truncation."""
 
     value: float
     evaluated: int
@@ -64,86 +52,31 @@ class SearchReport:
     k: int | None = None
 
 
-def _class_errors(kernel, rows, p, q, n, grid):
-    """best_approx errors in L_q of K * phi / ||phi||_p for candidate rows phi,
-    scored SEARCH_ROWS rows at a time."""
-    errors = []
-    for i in range(0, len(rows), SEARCH_ROWS):
-        block = rows[i : i + SEARCH_ROWS]
-        norms = poly_lp_norms(block, p)
-        # A zero row has a zero image, and so the value 0.
-        norms = np.where(norms > 0.0, norms, np.inf)[:, None]
-        image = convolution_constant() * _multiplier_rows(kernel, block) / norms
-        errors.append(best_approx_rows(synthesize_rows(image, grid), n, q)[0])
-    return np.concatenate(errors)
-
-
-def en_lower_search(kernel, p, q, n, budget=100, seed=0, detail=False):
+def en_lower_search(kernel, p, q, n):
     """Lower estimate of the worst-case T_n error over K * U_p in L_q.
 
-    Maximizes best_approx(K * phi, n, q) over a candidate family of phi with
-    unit L_p norm: the single harmonics n+1..n+8, then half the remaining
-    budget in random polynomials, then perturbations of the best candidate,
-    each kept when it scores higher.  Deterministic given the seed.
-
-    Candidates are scored in batches of up to SEARCH_ROWS coefficient rows:
-    one quadrature, one synthesis and one batched best_approx per batch.  The
-    perturbations all keep the best candidate's degree, so their draws are
-    made up front; after one is kept, the later draws are scored again about
-    the new best, as a one-at-a-time search would score them.  With
-    detail=True, returns a SearchReport instead of the value.
+    The largest best_approx error of K * phi / ||phi||_p over the harmonics
+    phi = cos kx, k = n+1..n+8 up to the truncation, scored in one batch:
+    one quadrature, one synthesis and one batched best_approx on the grid
+    sized for degree min(max(2n, n+8), truncation).  The value is the exact
+    grid error of one unit-norm member of the class, or 0 when no harmonic
+    lies within the truncation.  Returns a SearchReport.
     """
     _check_degree(n)
-    rng = np.random.default_rng(seed)
-    degree = min(max(2 * n, n + 8), kernel.truncation)
-    grid = default_grid_size(degree)
-    best = SearchReport(0.0, 0, "none")
-    best_phi = None
-
-    ks = np.arange(n + 1, min(n + 9, kernel.truncation + 1))[: max(budget, 0)]
-    if len(ks):
-        rows = np.zeros((len(ks), 2 * ks[-1] + 1))
-        rows[np.arange(len(ks)), ks] = 1.0
-        vals = _class_errors(kernel, rows, p, q, n, grid)
-        i = int(np.argmax(vals))
-        if vals[i] > best.value:
-            best = SearchReport(float(vals[i]), 0, "harmonic", int(ks[i]))
-            best_phi = TrigPoly.harmonic(best.k).coeff_vector()
-    evals = len(ks)
-
-    n_random = max(0, (budget - evals) // 2)
-    if n_random:
-        rows = rng.standard_normal((n_random, 2 * degree + 1))
-        vals = _class_errors(kernel, rows, p, q, n, grid)
-        i = int(np.argmax(vals))
-        if vals[i] > best.value:
-            best = SearchReport(float(vals[i]), 0, "random")
-            best_phi = rows[i]
-        evals += n_random
-
-    if best_phi is not None and evals < budget:
-        perts = []
-        for _ in range(budget - evals):
-            scale = 0.3 * rng.random()
-            perts.append(rng.standard_normal(len(best_phi)) * scale)
-        perts = np.array(perts)
-        evals = budget
-        i = 0
-        while i < len(perts):
-            block = perts[i : i + SEARCH_ROWS]
-            vals = _class_errors(kernel, best_phi + block, p, q, n, grid)
-            kept = np.flatnonzero(vals > best.value)
-            if not len(kept):
-                i += SEARCH_ROWS
-                continue
-            # Keep the first better draw; the draws after it are scored
-            # again about the new best.
-            best = SearchReport(float(vals[kept[0]]), 0, "perturbation")
-            best_phi = best_phi + block[kept[0]]
-            i += int(kept[0]) + 1
-
-    best = replace(best, evaluated=evals)
-    return best if detail else best.value
+    if not (1 <= p < np.inf and 1 < q < np.inf):
+        raise InvalidExponentError(f"need 1 <= p < inf and 1 < q < inf, got p={p}, q={q}")
+    ks = np.arange(n + 1, min(n + 9, kernel.truncation + 1))
+    if not len(ks):
+        return SearchReport(0.0, 0, "none")
+    grid = default_grid_size(min(max(2 * n, n + 8), kernel.truncation))
+    rows = np.zeros((len(ks), 2 * ks[-1] + 1))
+    rows[np.arange(len(ks)), ks] = 1.0
+    image = convolution_constant() * _multiplier_rows(kernel, rows) / poly_lp_norms(rows, p)[:, None]
+    errors = best_approx_rows(synthesize_rows(image, grid), n, q)[0]
+    i = int(np.argmax(errors))
+    if errors[i] > 0.0:
+        return SearchReport(float(errors[i]), len(ks), "harmonic", int(ks[i]))
+    return SearchReport(0.0, len(ks), "none")
 
 
 @dataclass(frozen=True)
@@ -187,58 +120,4 @@ def lower_bound_pipeline(gamma, p, q, n, m_override=None):
         phi_value=phi_value,
         lower_bound=log_factor * phi_value,
         notes="; ".join(notes),
-    )
-
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    n_list: tuple
-    upper: tuple
-    lower: tuple
-    ratios: tuple
-    spread: float
-    threshold: float
-    verdict: str
-    upper_label: str
-    reference: tuple = field(default=())
-
-
-def optimality_gap(gamma, p, q, n_list, budget=60, seed=0, threshold=4.0, rho=None):
-    """Pair upper estimates with pipeline lower bounds over a range of n.
-
-    The kernel is the slow-decay family lambda_k = k^{-rho} ln(k+1)^{-gamma}
-    with rho = (1/p - 1/q)_+.  At p = q = 2 the upper estimate is exact;
-    otherwise the catalog rate (ln n)^{-gamma} is the reference curve and the
-    candidate search provides a floor.
-    """
-    if rho is None:
-        rho = max(0.0, 1.0 / p - 1.0 / q)
-    trunc = max(4096, 2 * (max(n_list) + 2))
-    kernel = MultiplierKernel(PolyLog(rho, gamma), truncation=trunc)
-    uppers, lowers, reference = [], [], []
-    exact = p == 2.0 and q == 2.0
-    seeds = np.random.SeedSequence(seed).spawn(len(n_list))
-    for idx, n in enumerate(n_list):
-        if exact:
-            upper = en_exact_l2(kernel, n)
-        else:
-            upper = math.log(n) ** (-gamma) if n > 1 else float("inf")
-            floor = en_lower_search(kernel, p, q, n, budget=budget, seed=seeds[idx])
-            reference.append(floor)
-        report = lower_bound_pipeline(gamma, p, q, n)
-        uppers.append(upper)
-        lowers.append(report.lower_bound)
-    ratios = [u / l for u, l in zip(uppers, lowers)]
-    spread = max(ratios) / min(ratios)
-    verdict = "order-consistent" if spread <= threshold else "inconclusive"
-    return OptimalityReport(
-        n_list=tuple(n_list),
-        upper=tuple(uppers),
-        lower=tuple(lowers),
-        ratios=tuple(ratios),
-        spread=float(spread),
-        threshold=float(threshold),
-        verdict=verdict,
-        upper_label="exact-l2" if exact else "catalog-rate (search floor in reference)",
-        reference=tuple(reference),
     )

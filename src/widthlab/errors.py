@@ -13,10 +13,6 @@ class GridTooCoarseError(WidthlabError):
     """The sampling grid cannot resolve the requested degree."""
 
 
-class GridMismatchError(WidthlabError):
-    """Two grid functions live on grids of different sizes."""
-
-
 class TruncationExceededError(WidthlabError):
     """A polynomial degree exceeds the kernel's coefficient truncation."""
 

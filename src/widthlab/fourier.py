@@ -1,4 +1,4 @@
-"""Trigonometric polynomials, multiplier kernels and periodic convolution.
+"""Trigonometric polynomials, multiplier kernels and their spectral action.
 
 Everything is real-valued and lives on the circle [0, 2pi) with the
 unnormalized Lebesgue measure.  A degree-n polynomial is stored by its
@@ -12,11 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    GridMismatchError,
-    GridTooCoarseError,
-    TruncationExceededError,
-)
+from .errors import GridTooCoarseError, TruncationExceededError
 
 TRUNCATION_CAP = 4096
 TRUNCATION_DROP = 1e-14
@@ -259,32 +255,6 @@ def apply_multiplier(kernel, phi, keep_constant=False):
     """
     c = _multiplier_rows(kernel, phi.coeff_vector())
     return TrigPoly(phi.a0 if keep_constant else 0.0, c[1 : phi.degree + 1], c[phi.degree + 1 :])
-
-
-def synthesize_kernel(kernel, n_grid):
-    """Grid samples of K(x) = sum_k lambda_k cos(kx - beta*pi/2), truncated."""
-    n_terms = kernel.truncation
-    if n_grid < 2 * n_terms + 1:
-        raise GridTooCoarseError(
-            f"grid of {n_grid} points cannot resolve truncation {n_terms}"
-        )
-    lam = kernel.lambdas()
-    theta = kernel.beta * np.pi / 2.0
-    t = TrigPoly(0.0, lam * np.cos(theta), lam * np.sin(theta))
-    return synthesize(t, n_grid)
-
-
-def convolve(kernel_samples, phi):
-    """Periodic convolution (1/2pi) int K(x-y) phi(y) dy on a shared grid."""
-    if kernel_samples.size != phi.size:
-        raise GridMismatchError(
-            f"grid sizes differ: {kernel_samples.size} vs {phi.size}"
-        )
-    n = phi.size
-    out = np.fft.irfft(
-        np.fft.rfft(kernel_samples.samples) * np.fft.rfft(phi.samples), n=n
-    )
-    return GridFunction(out / n)
 
 
 def convolution_constant():

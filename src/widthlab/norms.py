@@ -9,8 +9,6 @@ one-row case.  The p = 1 brute-force widths run it on the vertices of the
 l_1 ball.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -195,19 +193,6 @@ def best_approx(f, n, q):
     return float(err), _coeffs_to_poly(c, n)
 
 
-@dataclass(frozen=True)
-class DiscretizedPoly:
-    """Values of a degree-m polynomial at 2pi k/(2m+1), k = 1..2m+1, with the
-    m^{-1/p} scale that makes the l_p norm comparable to the continuous one."""
-
-    values: np.ndarray
-    scale: float
-    p: float
-
-    def scaled_lp_norm(self):
-        return float(self.scale * np.sum(np.abs(self.values) ** self.p) ** (1.0 / self.p))
-
-
 def _mz_values(coeffs, m):
     """Coefficient rows (a0, a, b) evaluated at 2pi k/(2m+1), k = 1..2m+1."""
     degree = (coeffs.shape[-1] - 1) // 2
@@ -222,13 +207,6 @@ def _check_mz(m, p):
         raise InvalidExponentError("sampling needs degree m >= 1")
     if not 1.0 < p < np.inf:
         raise InvalidExponentError(f"p must lie in (1, inf), got {p}")
-
-
-def mz_sample(t, p, degree=None):
-    """Sample t on the 2m+1 equispaced points used by the two-sided l_p comparison."""
-    m = t.degree if degree is None else degree
-    _check_mz(m, p)
-    return DiscretizedPoly(_mz_values(t.coeff_vector(), m), float(m ** (-1.0 / p)), p)
 
 
 def _random_unit_polys(m, trials, rng):

@@ -272,6 +272,7 @@ def test_criterion_11_cli_determinism(tmp_path):
     runs = {
         "pipeline": ["pipeline", "--n-list", "8", "16", "32", "--seed", "7"],
         "mz": ["mz", "--p-list", "2.0", "3.0", "--m-list", "4", "8", "--trials", "20", "--seed", "7"],
+        "approx": ["approx", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3", "--n-list", "8", "12"],
     }
     ok = True
     for name, args in runs.items():
@@ -281,4 +282,4 @@ def test_criterion_11_cli_determinism(tmp_path):
         assert cli_main(args + ["--out", str(out)]) == 0
         second = {f: (out / f).read_bytes() for f in ("results.csv", "report.json")}
         ok = ok and first == second
-    _finish(11, ok, "repeated runs byte-identical for pipeline and mz")
+    _finish(11, ok, "repeated runs byte-identical for pipeline, mz and approx")

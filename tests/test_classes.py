@@ -17,56 +17,32 @@ from widthlab import (
     en_exact_l2,
     en_lower_search,
     lower_bound_pipeline,
-    optimality_gap,
     synthesize,
 )
 from widthlab import norms
-from widthlab.classes import M_CAP, SEARCH_ROWS
+from widthlab.classes import M_CAP
 from widthlab.fourier import Exponential, Polynomial, analyze, apply_multiplier, default_grid_size
 from widthlab.norms import lp_norm, poly_lp_norm
 
 
-def sequential_search(kernel, p, q, n, budget, seed):
-    """en_lower_search scored one candidate at a time through poly_lp_norm
-    and best_approx; returns the value and how many perturbations it kept."""
-    rng = np.random.default_rng(seed)
+def sequential_search(kernel, p, q, n):
+    """en_lower_search's harmonics scored one at a time through poly_lp_norm
+    and best_approx; returns the largest error."""
     const = convolution_constant()
-    degree = min(max(2 * n, n + 8), kernel.truncation)
-    grid = default_grid_size(degree)
-
-    def class_error(phi):
+    grid = default_grid_size(min(max(2 * n, n + 8), kernel.truncation))
+    best = 0.0
+    for k in range(n + 1, min(n + 9, kernel.truncation + 1)):
+        phi = TrigPoly.harmonic(k)
         norm = poly_lp_norm(phi, p)
-        if norm == 0.0:
-            return 0.0
         image = apply_multiplier(kernel, phi)
         image = TrigPoly(0.0, const * image.a / norm, const * image.b / norm)
-        return best_approx(synthesize(image, grid), n, q)[0]
+        best = max(best, best_approx(synthesize(image, grid), n, q)[0])
+    return best
 
-    evals, best_val, best_phi, kept = 0, 0.0, None, 0
-    for k in range(n + 1, min(n + 9, kernel.truncation + 1)):
-        if evals >= budget:
-            break
-        val = class_error(TrigPoly.harmonic(k))
-        evals += 1
-        if val > best_val:
-            best_val, best_phi = val, TrigPoly.harmonic(k)
-    for _ in range(max(0, (budget - evals) // 2)):
-        c = rng.standard_normal(2 * degree + 1)
-        phi = TrigPoly(c[0], c[1 : degree + 1], c[degree + 1 :])
-        val = class_error(phi)
-        evals += 1
-        if val > best_val:
-            best_val, best_phi = val, phi
-    while evals < budget and best_phi is not None:
-        d = best_phi.degree
-        scale = 0.3 * rng.random()
-        pert = rng.standard_normal(2 * d + 1) * scale
-        cand = TrigPoly(best_phi.a0 + pert[0], best_phi.a + pert[1 : d + 1], best_phi.b + pert[d + 1 :])
-        val = class_error(cand)
-        evals += 1
-        if val > best_val:
-            best_val, best_phi, kept = val, cand, kept + 1
-    return best_val, kept
+
+def cos_norm(r):
+    """||cos||_r over [0, 2pi), from int |cos x|^r dx = 2 sqrt(pi) G((r+1)/2) / G(r/2+1)."""
+    return (2 * math.sqrt(math.pi) * math.gamma((r + 1) / 2) / math.gamma(r / 2 + 1)) ** (1 / r)
 
 
 class TestEnExactL2:
@@ -119,7 +95,7 @@ class TestEnLowerSearch:
         kernel = MultiplierKernel(PolyLog(0.0, 1.0), truncation=64)
         for n in (4, 10):
             exact = en_exact_l2(kernel, n)
-            lower = en_lower_search(kernel, 2.0, 2.0, n, budget=30, seed=0)
+            lower = en_lower_search(kernel, 2.0, 2.0, n).value
             assert lower == pytest.approx(exact, rel=0.02)
             assert lower <= exact * (1 + 1e-9)
 
@@ -127,58 +103,59 @@ class TestEnLowerSearch:
         lam = np.zeros(12)
         lam[:4] = 1.0
         kernel = MultiplierKernel(Table(lam))
-        assert en_lower_search(kernel, 2.0, 3.0, 4, budget=20, seed=1) < 1e-9
-
-    def test_bigger_budget_no_worse(self):
-        kernel = MultiplierKernel(PolyLog(0.0, 1.0), truncation=64)
-        small = en_lower_search(kernel, 1.5, 3.0, 4, budget=12, seed=2)
-        large = en_lower_search(kernel, 1.5, 3.0, 4, budget=24, seed=2)
-        assert large >= small - 1e-12
+        search = en_lower_search(kernel, 2.0, 3.0, 4)
+        assert (search.value, search.winner, search.evaluated) == (0.0, "none", 8)
 
     def test_deterministic(self):
         kernel = MultiplierKernel(PolyLog(0.0, 1.0), truncation=32)
-        a = en_lower_search(kernel, 1.5, 2.5, 3, budget=15, seed=9)
-        b = en_lower_search(kernel, 1.5, 2.5, 3, budget=15, seed=9)
-        assert a == b
+        assert en_lower_search(kernel, 1.5, 2.5, 3) == en_lower_search(kernel, 1.5, 2.5, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        p=st.floats(1.1, 4.0),
+        q=st.floats(1.2, 6.0),
+        family=st.sampled_from(["sobolev", "exponential", "polylog"]),
+    )
+    def test_matches_the_closed_form_harmonic_value(self, n, p, q, family):
+        # For k > n the best T_n approximant of cos kx in L_q is 0, and
+        # ||cos kx||_r = ||cos||_r, so for nonincreasing lambda_k the harmonic
+        # n+1 wins with 0.5 lambda_{n+1} ||cos||_q / ||cos||_p.
+        fam = {
+            "sobolev": Polynomial(1.0),
+            "exponential": Exponential(1.0, 1.0),
+            "polylog": PolyLog(max(0.0, 1 / p - 1 / q), 1.0),
+        }[family]
+        kernel = MultiplierKernel(fam, truncation=4096)
+        expected = 0.5 * kernel.lambdas(n + 1)[n] * cos_norm(q) / cos_norm(p)
+        search = en_lower_search(kernel, p, q, n)
+        assert (search.winner, search.k) == ("harmonic", n + 1)
+        assert search.value == pytest.approx(expected, rel=1e-2)
 
     @settings(max_examples=20, deadline=None)
     @given(
         n=st.integers(0, 10),
         extra=st.integers(1, 16),
-        seed=st.integers(0, 2**32 - 1),
-        budget=st.integers(1, 30),
         p=st.floats(1.1, 4.0),
         q=st.floats(1.2, 6.0),
         family=st.sampled_from([Polynomial(1.0), Polynomial(0.2), PolyLog(0.0, 1.0)]),
     )
-    def test_batches_match_the_one_at_a_time_search(self, n, extra, seed, budget, p, q, family):
+    def test_batches_match_the_one_at_a_time_search(self, n, extra, p, q, family):
         # Truncations below n+8 (7 of the 16 offsets) cut the harmonics
-        # n+1..n+8 short; budgets below 8 stop inside them.
+        # n+1..n+8 short.
         kernel = MultiplierKernel(family, truncation=n + extra)
-        expected, _ = sequential_search(kernel, p, q, n, budget, seed)
-        assert en_lower_search(kernel, p, q, n, budget=budget, seed=seed) == pytest.approx(expected, rel=1e-9)
-
-    def test_kept_perturbations_match_the_one_at_a_time_search(self):
-        # Random candidates win at this small truncation, and the search keeps
-        # four perturbations, the first of them second in its batch, so the
-        # later draws are scored again.
-        kernel = MultiplierKernel(Polynomial(0.2), truncation=12)
-        expected, kept = sequential_search(kernel, 1.5, 3.0, 2, 30, 2)
-        search = en_lower_search(kernel, 1.5, 3.0, 2, budget=30, seed=2, detail=True)
-        assert kept == 4
-        assert (search.winner, search.evaluated, search.k) == ("perturbation", 30, None)
-        assert search.value == pytest.approx(expected, rel=1e-9)
+        expected = sequential_search(kernel, p, q, n)
+        assert en_lower_search(kernel, p, q, n).value == pytest.approx(expected, rel=1e-9)
 
     def test_reports_the_winning_harmonic(self):
         kernel = MultiplierKernel(Polynomial(1.0), truncation=4096)
-        search = en_lower_search(kernel, 1.5, 3.0, 8, budget=60, seed=1, detail=True)
-        assert (search.winner, search.k, search.evaluated) == ("harmonic", 9, 60)
-        assert search.value == en_lower_search(kernel, 1.5, 3.0, 8, budget=60, seed=1)
+        search = en_lower_search(kernel, 1.5, 3.0, 8)
+        assert (search.winner, search.k, search.evaluated) == ("harmonic", 9, 8)
 
     @pytest.mark.parametrize(
-        "r, truncation, n, seed", [(1.0, 4096, 8, 1), (0.2, 12, 2, 2)], ids=["harmonic-wins", "perturbations-kept"]
+        "r, truncation, n", [(1.0, 4096, 8), (0.2, 12, 2)], ids=["harmonic-wins", "small-truncation"]
     )
-    def test_one_solve_per_batch_not_per_candidate(self, monkeypatch, r, truncation, n, seed):
+    def test_one_solve_per_batch_not_per_candidate(self, monkeypatch, r, truncation, n):
         calls = {"_quadrature_lp": 0, "_lq_regress": 0}
         for name in calls:
             original = getattr(norms, name)
@@ -189,16 +166,10 @@ class TestEnLowerSearch:
 
             monkeypatch.setattr(norms, name, counted)
         kernel = MultiplierKernel(Polynomial(r), truncation=truncation)
-        budget = 60
-        en_lower_search(kernel, 1.5, 3.0, n, budget=budget, seed=seed)
-        monkeypatch.undo()
-        _, kept = sequential_search(kernel, 1.5, 3.0, n, budget, seed)
-        # Harmonics, random candidates and perturbations in batches of
-        # SEARCH_ROWS rows, plus one batch more for each kept perturbation;
-        # one IRLS block holds a whole batch at these sizes.
-        batches = 1 + 2 * math.ceil(26 / SEARCH_ROWS) + kept
-        assert 0 < calls["_quadrature_lp"] <= batches < budget / 3
-        assert 0 < calls["_lq_regress"] <= batches
+        search = en_lower_search(kernel, 1.5, 3.0, n)
+        # All eight harmonics in one quadrature and one IRLS block.
+        assert search.evaluated == 8
+        assert calls == {"_quadrature_lp": 1, "_lq_regress": 1}
 
 
 class TestLowerBoundPipeline:
@@ -232,39 +203,6 @@ class TestLowerBoundPipeline:
         rep = lower_bound_pipeline(1.0, 2.0, 6.0, 512)
         assert rep.m_chosen == M_CAP
         assert "capped" in rep.notes
-
-
-class TestOptimalityGap:
-    def test_l2_ratio_stabilizes(self):
-        n_list = [2**k for k in range(3, 11)]
-        report = optimality_gap(1.0, 2.0, 2.0, n_list)
-        assert report.verdict == "order-consistent"
-        # ratio of exact error to (ln n)^-1 settles near the convolution constant
-        top = [
-            u / math.log(n) ** (-1.0)
-            for n, u in zip(report.n_list[-3:], report.upper[-3:])
-        ]
-        assert max(top) / min(top) < 1.1
-
-    def test_degenerate_no_decay(self):
-        report = optimality_gap(0.0, 2.0, 2.0, [8, 16, 32], rho=0.0)
-        uppers = set(report.upper)
-        assert len(uppers) == 1
-        assert report.verdict == "order-consistent"
-
-    def test_single_point(self):
-        report = optimality_gap(1.0, 2.0, 2.0, [16])
-        assert report.spread == 1.0
-        assert report.verdict == "order-consistent"
-
-    def test_lower_below_scaled_upper(self):
-        n_list = [2**k for k in range(3, 9)]
-        report = optimality_gap(1.0, 2.0, 2.0, n_list)
-        c_fit = max(l / u for u, l in zip(report.upper, report.lower))
-        assert all(
-            l <= c_fit * u + 1e-12 for u, l in zip(report.upper, report.lower)
-        )
-        assert c_fit < 5.0
 
 
 class TestProjectionBoundedness:

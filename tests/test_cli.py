@@ -124,7 +124,7 @@ class TestExitCodes:
     def test_solver_cap_in_approx_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(widthlab.norms, "IRLS_MAX_ITER", 1)
         out = tmp_path / "out"
-        args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8", "--budget", "2"]
+        args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8"]
         assert run(args + ["--out", str(out)]) == 3
         report = json.loads(read(out / "report.json"))["report"]
         assert report["nonconvergence"] is True
@@ -278,13 +278,47 @@ class TestApproxCommand:
         assert {quantity for _, quantity in rows} == {"en_exact_l2"}
 
     def test_search_report_per_n(self, tmp_path):
-        args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8", "12", "--budget", "12"]
+        args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8", "12"]
         assert run(args + ["--out", str(tmp_path)]) == 0
         report = json.loads(read(tmp_path / "report.json"))["report"]
         assert report["search"] == [
-            {"n": 8, "candidates": 12, "winner": "harmonic", "k": 9},
-            {"n": 12, "candidates": 12, "winner": "harmonic", "k": 13},
+            {"n": 8, "candidates": 8, "winner": "harmonic", "k": 9},
+            {"n": 12, "candidates": 8, "winner": "harmonic", "k": 13},
         ]
+
+    def test_output_does_not_depend_on_the_seed(self, tmp_path):
+        args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8", "12"]
+        for seed in ("1", "2"):
+            assert run(args + ["--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        assert read(tmp_path / "1" / "results.csv") == read(tmp_path / "2" / "results.csv")
+
+    def test_no_harmonic_within_the_truncation_writes_zero(self, tmp_path):
+        args = ["approx", "--truncation", "5", "--n-list", "8", "--p", "1.5", "--q", "3"]
+        assert run(args + ["--out", str(tmp_path)]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            assert [float(r["value"]) for r in csv.DictReader(fh)] == [0.0]
+        report = json.loads(read(tmp_path / "report.json"))["report"]
+        assert report["search"] == [{"n": 8, "candidates": 0, "winner": "none", "k": None}]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--family", "exponential", "--mu", "nan"], ["--family", "sobolev", "--r", "nan"],
+         ["--family", "polylog", "--gamma", "inf"], ["--family", "polylog", "--rho", "nan"]],
+        ids=["exponential-mu-nan", "sobolev-r-nan", "polylog-gamma-inf", "polylog-rho-nan"],
+    )
+    def test_non_finite_kernel_parameter_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(["approx", *args, "--p", "1.5", "--q", "3", "--n-list", "8", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_budget_key_removed(self, tmp_path):
+        with pytest.raises(ConfigError):
+            build_config("approx", {"budget": 60}, {})
+        with pytest.raises(SystemExit) as exc:
+            main(["approx", "--n-list", "8", "--budget", "60", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "args",
@@ -292,12 +326,13 @@ class TestApproxCommand:
             ["--p", "inf", "--q", "3", "--n-list", "8"],
             ["--n-list", "-3"],
             ["--p", "1.5", "--q", "3", "--n-list", "-3"],
+            ["--p", "inf", "--q", "3", "--n-list", "8", "--truncation", "5"],
         ],
-        ids=["p-inf", "negative-degree-exact-l2", "negative-degree-search"],
+        ids=["p-inf", "negative-degree-exact-l2", "negative-degree-search", "p-inf-no-harmonic"],
     )
     def test_out_of_range_input_is_config_error(self, tmp_path, capsys, args):
         out = tmp_path / "out"
-        assert run(["approx", *args, "--budget", "4", "--out", str(out)]) == 2
+        assert run(["approx", *args, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 

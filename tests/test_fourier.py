@@ -6,9 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab import (
-    Exponential,
     GridFunction,
-    GridMismatchError,
     GridTooCoarseError,
     MultiplierKernel,
     Polynomial,
@@ -18,11 +16,9 @@ from widthlab import (
     analyze,
     apply_multiplier,
     convolution_constant,
-    convolve,
     eval_poly,
     lp_norm,
     synthesize,
-    synthesize_kernel,
 )
 from widthlab.fourier import synthesize_rows
 
@@ -163,58 +159,14 @@ class TestSynthesizeRows:
         assert np.max(np.abs(mid - eval_poly(t, points))) <= 1e-12 * scale
 
 
-class TestSynthesizeKernel:
-    def test_single_cos_term(self):
-        kernel = MultiplierKernel(Table(np.array([1.0])), beta=0.0)
-        f = synthesize_kernel(kernel, 32)
-        assert np.allclose(f.samples, np.cos(f.grid), atol=1e-13)
-
-    def test_phase_one_gives_sin(self):
-        kernel = MultiplierKernel(Table(np.array([1.0])), beta=1.0)
-        f = synthesize_kernel(kernel, 32)
-        assert np.allclose(f.samples, np.sin(f.grid), atol=1e-13)
-
-    def test_exponential_matches_geometric_sum(self):
-        kernel = MultiplierKernel(Exponential(1.0, 1.0), truncation=40)
-        f = synthesize_kernel(kernel, 128)
-        z = np.exp(-1.0) * np.exp(1j * f.grid)
-        closed = ((z - z**41) / (1 - z)).real
-        assert np.max(np.abs(f.samples - closed)) < 1e-10
-
-    def test_grid_too_coarse(self):
-        kernel = MultiplierKernel(Table(np.ones(20)))
-        with pytest.raises(GridTooCoarseError):
-            synthesize_kernel(kernel, 16)
-
-
-class TestConvolve:
-    def test_cos_with_cos(self):
-        f = synthesize(TrigPoly.harmonic(1), 64)
-        out = convolve(f, f)
-        assert np.allclose(out.samples, 0.5 * np.cos(out.grid), atol=1e-13)
-
-    def test_zero(self):
-        f = synthesize(TrigPoly.harmonic(1), 64)
-        zero = GridFunction(np.zeros(64))
-        assert np.max(np.abs(convolve(f, zero).samples)) == 0.0
-
-    def test_cos2_with_sin2(self):
-        k = synthesize(TrigPoly.harmonic(2), 64)
-        phi = synthesize(TrigPoly.harmonic(2, cos_amp=0.0, sin_amp=1.0), 64)
-        out = convolve(k, phi)
-        # direct quadrature of (1/2pi) int cos(2(x-y)) sin(2y) dy at 3 points
-        for x in (0.3, 1.7, 4.0):
-            y = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
-            direct = np.mean(np.cos(2 * (x - y)) * np.sin(2 * y))
-            idx = np.argmin(np.abs(out.grid - x))
-            assert 0.5 * math.sin(2 * out.grid[idx]) == pytest.approx(
-                out.samples[idx], abs=1e-12
-            )
-            assert direct == pytest.approx(0.5 * math.sin(2 * x), abs=1e-12)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(GridMismatchError):
-            convolve(GridFunction(np.zeros(8)), GridFunction(np.zeros(16)))
+def grid_convolution(kernel, phi, n_grid):
+    """(1/2pi) int K(x-y) phi(y) dy on an n_grid-point grid, from the samples
+    of K(x) = sum_k lambda_k cos(kx - beta*pi/2) and of phi."""
+    lam = kernel.lambdas()
+    theta = kernel.beta * np.pi / 2.0
+    k = synthesize(TrigPoly(0.0, lam * np.cos(theta), lam * np.sin(theta)), n_grid).samples
+    spec = np.fft.rfft(k) * np.fft.rfft(synthesize(phi, n_grid).samples)
+    return GridFunction(np.fft.irfft(spec, n=n_grid) / n_grid)
 
 
 class TestInvariants:
@@ -232,10 +184,7 @@ class TestInvariants:
         for lam, beta in [(rng.uniform(0.2, 1, 5), 0.0), (rng.uniform(0.2, 1, 5), 1.3)]:
             kernel = MultiplierKernel(Table(lam), beta=beta)
             phi = random_poly(rng, 5, with_const=False)
-            grid = 64
-            conv = analyze(
-                convolve(synthesize_kernel(kernel, grid), synthesize(phi, grid)), 5
-            )
+            conv = analyze(grid_convolution(kernel, phi, 64), 5)
             mult = apply_multiplier(kernel, phi)
             assert np.allclose(conv.a, const * mult.a, atol=1e-12)
             assert np.allclose(conv.b, const * mult.b, atol=1e-12)

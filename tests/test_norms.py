@@ -13,7 +13,6 @@ from widthlab import (
     best_approx,
     lp_norm,
     mz_ratio_stats,
-    mz_sample,
     poly_lp_norm,
     synthesize,
 )
@@ -22,7 +21,6 @@ from widthlab.fourier import GridFunction, eval_poly, synthesize_rows
 from widthlab.norms import (
     QUADRATURE_BLOCK,
     QUADRATURE_CAP,
-    DiscretizedPoly,
     _grid_lp,
     _power_sums,
     _quadrature_lp,
@@ -274,27 +272,6 @@ class TestLqSolver:
         assert exc.value.diagnostics["iterations"] == 1
 
 
-class TestMzSample:
-    def test_constant_at_m1(self):
-        d = mz_sample(TrigPoly(1.0, np.zeros(0), np.zeros(0)), 2.0, degree=1)
-        assert np.allclose(d.values, 1.0)
-        assert d.scaled_lp_norm() == pytest.approx(math.sqrt(3.0))
-
-    def test_cos_three_points(self):
-        d = mz_sample(TrigPoly.harmonic(1), 2.0)
-        assert d.scaled_lp_norm() ** 2 == pytest.approx(1.5)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(3)
-        d = mz_sample(random_poly(rng, 4), 2.5)
-        shuffled = DiscretizedPoly(rng.permutation(d.values), d.scale, d.p)
-        assert shuffled.scaled_lp_norm() == pytest.approx(d.scaled_lp_norm())
-
-    def test_degree_zero_rejected(self):
-        with pytest.raises(InvalidExponentError):
-            mz_sample(TrigPoly(1.0, np.zeros(0), np.zeros(0)), 2.0)
-
-
 class TestMzRatioStats:
     def test_p2_ratios_concentrate(self):
         for m in (4, 16):
@@ -314,10 +291,12 @@ class TestMzRatioStats:
         # |t|^6 has degree 6m < 1024, so a 1024-point grid integrates it exactly.
         p, trials, seed = 6.0, 20, 5
         coeffs = _random_unit_polys(m, trials, np.random.default_rng(seed))
+        points = 2 * np.pi * np.arange(2 * m + 1) / (2 * m + 1)
         ratios = []
         for c in coeffs:
             t = TrigPoly(c[0], c[1 : m + 1], c[m + 1 :])
-            ratios.append(mz_sample(t, p).scaled_lp_norm() / lp_norm(synthesize(t, 1024), p))
+            discrete = m ** (-1 / p) * np.sum(np.abs(eval_poly(t, points)) ** p) ** (1 / p)
+            ratios.append(discrete / lp_norm(synthesize(t, 1024), p))
         lo, hi = mz_ratio_stats(m, p, trials, seed)
         assert lo == pytest.approx(min(ratios), rel=1e-12)
         assert hi == pytest.approx(max(ratios), rel=1e-12)
