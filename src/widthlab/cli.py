@@ -145,6 +145,8 @@ def _kernel_from_config(config):
     for key in ("r", "mu", "gamma", "rho"):
         if config[key] is not None and not np.isfinite(config[key]):
             raise ConfigError(f"{key!r} must be finite, got {config[key]!r}")
+    if config["truncation"] < 1:
+        raise ConfigError(f"'truncation' must be >= 1, got {config['truncation']}")
     family = config["family"]
     p, q = config["p"], config["q"]
     if family == "polylog":

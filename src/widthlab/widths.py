@@ -15,13 +15,14 @@ V of R^m on the worst-case distance sup_{x in B_p} dist_q(x, V).
 
   so V is carried by an orthonormal m x (m - n) frame W of its complement,
   and the inner supremum is a ratio of two norms over span W, maximized by
-  projected gradient ascent from the rows of W and random directions.  At
-  p = q the ratio is identically 1.
+  projected gradient ascent from the rows of W and random directions.
 
-The coordinate subspace is always among the candidates, which keeps the
-result at or below the explicit coordinate-subspace bound.  An ascent can
-only underestimate a supremum, so the value is a proven upper bound where
-the inner problem is solved exactly: p = 1, p = q, or m - n = 1.
+n = 0, n = m and p = q are closed forms: there the coordinate subspace is
+optimal and the width is coordinate_subspace_bound (Pietsch, Stesin; Pinkus,
+1985).  Otherwise the coordinate subspace is restart 0, scored by that
+closed form, so the result never exceeds it.  An ascent can only
+underestimate a supremum, so a descended value is a proven upper bound where
+the inner problem is solved exactly: p = 1 or m - n = 1.
 """
 
 import math
@@ -64,7 +65,7 @@ class BallWidthInstance:
 @dataclass(frozen=True)
 class WidthEstimate:
     value: float
-    direction: str  # 'upper-bound', 'lower-bound' or 'two-sided'
+    direction: str  # 'upper-bound' or 'two-sided' (exact)
     method: str
     diagnostics: dict = field(default_factory=dict)
 
@@ -154,11 +155,7 @@ def _log_norms(y, r):
 
 def _dual_ratios(frame, z, p_dual, q_dual):
     """||y||_{p'} / ||y||_{q'} at y = frame z for the rows z, and the
-    gradients of the log ratios in y.
-
-    At p' = q' both norms come from the same arithmetic, so the ratio is
-    exactly 1 and the gradient exactly 0.
-    """
+    gradients of the log ratios in y."""
     y = z @ frame.T
     num, grad_num = _log_norms(y, p_dual)
     den, grad_den = _log_norms(y, q_dual)
@@ -219,15 +216,18 @@ def ball_width_bruteforce(
 ):
     """Direct minimization of the worst-case l_q distance over n-subspaces.
 
-    Returns an upper-bound estimate (it exhibits a concrete subspace).  The
-    coordinate subspace is one restart's start and one more candidate, so the
-    value never lands above the coordinate-subspace bound.  For p > 1 the
-    descent runs on a frame of the complement (see the module docstring);
-    inner_starts and final_starts random directions join the ascent during
-    the descent and in each restart's final evaluation.  A restart stops as
-    'stationary' when no backtracking step lowers its value, else at
-    'max_iter'; the estimate is converged when some restart is stationary.
-    diagnostics['frame'] is an orthonormal m x n frame of the best subspace.
+    n = 0, n = m and p = q return the exact width coordinate_subspace_bound
+    ('two-sided', no restarts).  Otherwise returns an upper-bound estimate
+    (it exhibits a concrete subspace).  Restart 0 is the coordinate subspace,
+    scored by its closed-form value with stop 'stationary', so the value
+    never lands above the coordinate-subspace bound and restarts=1 runs no
+    descent.  Restarts 1.. descend from random frames; for p > 1 on a frame
+    of the complement (see the module docstring).  inner_starts and
+    final_starts random directions join the ascent during the descent and in
+    each restart's final evaluation.  A restart stops as 'stationary' when
+    no backtracking step lowers its value, else at 'max_iter'; the estimate
+    is converged when some restart is stationary.  diagnostics['frame'] is
+    an orthonormal m x n frame of the best subspace.
     """
     m, n, p, q = inst.m, inst.n, inst.p, inst.q
     if m > DESK_SCALE_MAX_DIM:
@@ -235,18 +235,14 @@ def ball_width_bruteforce(
     if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
         raise InvalidExponentError("brute force needs finite exponents")
 
-    if n == m:
-        return WidthEstimate(0.0, "two-sided", "full-space", {"restarts": 0})
-    if n == 0:
-        value = m ** (1.0 / q - 1.0 / p) if q < p else 1.0
-        return WidthEstimate(float(value), "two-sided", "no-subspace", {"restarts": 0})
+    if n in (0, m) or p == q:
+        return WidthEstimate(coordinate_subspace_bound(inst), "two-sided", "closed-form", {"restarts": 0})
 
     # p = 1 descends on a frame of the subspace itself, p > 1 on a frame of
-    # its complement; either way the coordinate frame comes first.
+    # its complement.
     dual = p > 1.0
     p_dual, q_dual = _conjugate(p), _conjugate(q)
     cols = m - n if dual else n
-    coord_frame = np.eye(m)[:, n:] if dual else np.eye(m, n)
 
     def sup(frame, z, steps):
         """Inner sup estimate of one frame and the state its gradient needs."""
@@ -254,16 +250,14 @@ def ball_width_bruteforce(
             return _dual_sup(frame, p_dual, q_dual, _dual_starts(frame, z), steps)
         return _vertex_sup(frame, q)
 
-    seeds = np.random.SeedSequence(seed).spawn(restarts)
-    per_restart = []
-    frames = []
-    stops = []
-    for r_idx in range(restarts):
-        rng = np.random.default_rng(seeds[r_idx])
-        if r_idx == 0:
-            frame = coord_frame
-        else:
-            frame = _orthonormalize(rng.standard_normal((m, cols)))
+    # Restart 0: the coordinate frame at its exact value.  Its envelope
+    # gradient is 0 (or it is optimal, at q < p), so descent would not move it.
+    per_restart = [coordinate_subspace_bound(inst)]
+    frames = [np.eye(m)[:, n:] if dual else np.eye(m, n)]
+    stops = ["stationary"]
+    for child in np.random.SeedSequence(seed).spawn(restarts)[1:]:
+        rng = np.random.default_rng(child)
+        frame = _orthonormalize(rng.standard_normal((m, cols)))
         # Fixed random starts per restart keep the objective deterministic
         # along the descent path.
         z_inner = rng.standard_normal((inner_starts, cols))
@@ -296,13 +290,6 @@ def ball_width_bruteforce(
         per_restart.append(max(final_val, val))
         frames.append(frame)
 
-    # The undescended coordinate frame is always a candidate; its sup estimate
-    # can never exceed the coordinate-subspace bound.
-    coord_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(restarts + 1)[-1])
-    coord_val, _ = sup(coord_frame, coord_rng.standard_normal((final_starts, cols)), FINAL_ASCENT_STEPS)
-    per_restart.append(coord_val)
-    frames.append(coord_frame)
-
     values = np.asarray(per_restart)
     best_idx = int(np.argmin(values))
     best_frame = _complement(frames[best_idx]) if dual else frames[best_idx]
@@ -313,7 +300,7 @@ def ball_width_bruteforce(
         {
             "restarts": restarts,
             "best": float(values[best_idx]),
-            "median": float(np.median(values[:restarts])),
+            "median": float(np.median(values)),
             "converged": "stationary" in stops,
             "stops": stops,
             "frame": best_frame,

@@ -106,10 +106,11 @@ def test_criterion_04_domination():
                 for q in grid:
                     inst = BallWidthInstance(m, n, p, q)
                     est = ball_width_bruteforce(
-                        inst, restarts=1, seed=0,
+                        inst, restarts=2, seed=0,
                         inner_starts=16, final_starts=32, max_iter=10,
                     )
-                    if est.value > coordinate_subspace_bound(inst) + 1e-6:
+                    # The width of B_p in l_p is 1 for every n < m.
+                    if est.value > coordinate_subspace_bound(inst) or (p == q and est.value != 1.0):
                         violations.append((m, n, p, q, est.value))
     elapsed = time.monotonic() - start
     ok = not violations

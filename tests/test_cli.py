@@ -313,6 +313,15 @@ class TestApproxCommand:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("truncation", ["-5", "0"])
+    def test_non_positive_truncation_is_config_error(self, tmp_path, capsys, truncation):
+        out = tmp_path / "out"
+        args = ["approx", "--family", "exponential", "--truncation", truncation, "--n-list", "8"]
+        assert run([*args, "--p", "1.5", "--q", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_budget_key_removed(self, tmp_path):
         with pytest.raises(ConfigError):
             build_config("approx", {"budget": 60}, {})
@@ -452,6 +461,13 @@ class TestWidthsCommand:
         assert run(["widths", "--m", "4", "--n-list", "2", "--p", "1.5", "--q", "3", *args, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_p_equals_q_equals_one_is_width_one(self, tmp_path):
+        args = ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "1", "--q", "1", "--restarts", "2"]
+        assert run(args + ["--out", str(tmp_path)]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            widths = [float(r["value"]) for r in csv.DictReader(fh) if r["quantity"] == "bruteforce_width"]
+        assert widths == [1.0] * 4
 
     def test_q_below_p_converges_with_stop_reasons(self, tmp_path):
         # Seed 4 made this cell exit 3 (nonconverged) under the primal ascent.

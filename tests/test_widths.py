@@ -139,7 +139,7 @@ class TestBruteForce:
         assert all(a <= b + 1e-6 for a, b in zip(vals, vals[1:]))
 
     def test_diagnostics_present(self):
-        est = ball_width_bruteforce(BallWidthInstance(4, 2, 2, 2), **FAST)
+        est = ball_width_bruteforce(BallWidthInstance(4, 2, 1.5, 3), **FAST)
         assert est.direction == "upper-bound"
         assert est.diagnostics["restarts"] == 2
         assert "median" in est.diagnostics
@@ -149,6 +149,43 @@ class TestBruteForce:
         assert len(est.diagnostics["stops"]) == 2
         assert set(est.diagnostics["stops"]) <= {"stationary", "max_iter"}
         assert est.diagnostics["converged"] == ("stationary" in est.diagnostics["stops"])
+
+    def test_closed_forms_run_no_restarts(self):
+        for m, n, p, q in [(4, 0, 2, 1), (4, 4, 1.5, 3), (5, 2, 1, 1), (5, 3, 3, 3)]:
+            inst = BallWidthInstance(m, n, p, q)
+            est = ball_width_bruteforce(inst, **FAST)
+            assert est.value == coordinate_subspace_bound(inst)
+            assert est.direction == "two-sided"
+            assert est.diagnostics == {"restarts": 0}
+
+    def test_one_restart_runs_no_descent(self, monkeypatch):
+        # Restart 0 is the coordinate frame at its closed-form value.
+        def unreachable(*args):
+            raise AssertionError("inner supremum evaluated")
+
+        monkeypatch.setattr(widths, "_dual_sup", unreachable)
+        monkeypatch.setattr(widths, "_vertex_sup", unreachable)
+        for p, q in [(1.0, 2.0), (1.5, 3.0), (3.0, 1.5)]:
+            inst = BallWidthInstance(5, 2, p, q)
+            est = ball_width_bruteforce(inst, restarts=1)
+            assert est.value == coordinate_subspace_bound(inst)
+            assert est.diagnostics["stops"] == ["stationary"]
+
+    @pytest.mark.parametrize("p, q", [(1.0, 1.5), (1.0, 2.0), (1.0, 3.0), (1.5, 2.0), (1.5, 3.0), (2.0, 3.0)])
+    def test_envelope_gradient_vanishes_at_the_coordinate_frame(self, p, q):
+        # Why restart 0 is recorded as stationary without a descent.
+        rng = np.random.default_rng(5)
+        for m in range(2, 7):
+            for n in range(1, m):
+                if p == 1.0:
+                    _, state = widths._vertex_sup(np.eye(m, n), q)
+                else:
+                    frame = np.eye(m)[:, n:]
+                    starts = widths._dual_starts(frame, rng.standard_normal((SWEEP["inner_starts"], m - n)))
+                    _, state = widths._dual_sup(
+                        frame, widths._conjugate(p), widths._conjugate(q), starts, widths.ASCENT_STEPS
+                    )
+                assert not np.any(np.outer(*state)), (m, n)
 
     def test_frame_spans_the_subspace(self):
         for p, q in [(1.0, 1.5), (1.5, 3.0)]:
