@@ -164,6 +164,7 @@ def _kernel_from_config(config):
 
 
 def run_approx(config):
+    """Error E_n of a kernel class: exact at p = q = 2, else a harmonic-scan lower estimate."""
     _require(config, "n_list")
     kernel = _kernel_from_config(config)
     p, q = config["p"], config["q"]
@@ -190,6 +191,7 @@ def run_approx(config):
 
 
 def run_widths(config):
+    """Widths of l_p balls in l_q: exact at n = 0, n = m and q <= p, else a brute-force upper bound."""
     _require(config, "m", "n_list")
     m, p, q = config["m"], config["p"], config["q"]
     n_list = [int(n) for n in config["n_list"]]
@@ -218,11 +220,12 @@ def run_widths(config):
         rows.append((n, "bruteforce_width", est.value))
         rows.append((n, "phi_order", phi))
         rows.append((n, "coordinate_bound", bound))
-    # Per n: converged, and each restart's stop ('stationary' or 'max_iter');
-    # closed-form cells (n = 0, n = m) have no restarts.
+    # Per n: the label, converged, and each restart's stop ('stationary' or 'max_iter');
+    # closed-form cells (n = 0, n = m, q <= p) are 'two-sided' and have no restarts.
     converged = [est.diagnostics.get("converged", True) for est, _, _ in results]
     report = {
         "direction": "upper-bound",
+        "directions": [est.direction for est, _, _ in results],
         "nonconverged": not all(converged),
         "medians": [est.diagnostics.get("median") for est, _, _ in results],
         "converged": converged,
@@ -232,6 +235,7 @@ def run_widths(config):
 
 
 def run_pipeline(config):
+    """Logarithmic lower bound of the polylog class by projection, sampling and the finite width."""
     _require(config, "n_list")
     n_list = [int(n) for n in config["n_list"]]
 
@@ -253,6 +257,7 @@ def run_pipeline(config):
 
 
 def run_catalog(config):
+    """Catalog width and error rates and the optimality verdict of a family at (p, q)."""
     if config["all"]:
         records = catalog_records()
     else:
@@ -279,6 +284,7 @@ def run_catalog(config):
 
 
 def run_fit(config):
+    """Classify an (n, value) series over its finite n range; it can mislabel, e.g. an exact power law in n + 1."""
     _require(config, "input")
     with open(config["input"], newline="") as fh:
         try:
@@ -305,6 +311,7 @@ def run_fit(config):
 
 
 def run_mz(config):
+    """Marcinkiewicz-Zygmund sampling ratios: their min and max per (p, m)."""
     _require(config, "p_list", "m_list")
     cells = [(float(p), int(m)) for p in config["p_list"] for m in config["m_list"]]
     seeds = np.random.SeedSequence(config["seed"]).spawn(len(cells))
@@ -376,7 +383,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, schema in SCHEMAS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, help=RUNNERS[name].__doc__)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out", help="output directory")

@@ -17,9 +17,11 @@ V of R^m on the worst-case distance sup_{x in B_p} dist_q(x, V).
   and the inner supremum is a ratio of two norms over span W, maximized by
   projected gradient ascent from the rows of W and random directions.
 
-n = 0, n = m and p = q are closed forms: there the coordinate subspace is
-optimal and the width is coordinate_subspace_bound (Pietsch, Stesin; Pinkus,
-1985).  Otherwise the coordinate subspace is restart 0, scored by that
+n = 0, n = m and every q <= p are closed forms: there the coordinate
+subspace is optimal and the width is coordinate_subspace_bound,
+(m - n)^(1/q - 1/p) (Pietsch 1974, Stesin 1975; Pinkus, 1985, ch. VI).  So
+the dual path only sees 1 < p < q < inf, where both dual exponents are
+finite.  Otherwise the coordinate subspace is restart 0, scored by that
 closed form, so the result never exceeds it.  An ascent can only
 underestimate a supremum, so a descended value is a proven upper bound where
 the inner problem is solved exactly: p = 1 or m - n = 1.
@@ -129,55 +131,42 @@ def _vertex_sup(frame, q):
     return float(dists[best]), (-grads[best], coeffs[best])
 
 
-def _conjugate(r):
-    """Hoelder conjugate r' of r >= 1 (1/r + 1/r' = 1)."""
-    return np.inf if r == 1.0 else r / (r - 1.0)
-
-
-def _log_norms(y, r):
-    """l_r norms of the nonzero rows of y and the gradients of their logs.
-
-    At r = inf the gradient is the subgradient at the first largest entry.
-    """
-    absy = np.abs(y)
-    if r == np.inf:
-        rows = np.arange(len(y))
-        top = np.argmax(absy, axis=1)
-        norms = absy[rows, top]
-        grads = np.zeros_like(y)
-        grads[rows, top] = np.sign(y[rows, top]) / norms
-        return norms, grads
-    scale = absy.max(axis=1, keepdims=True)
-    u = absy / scale
-    sums = (u**r).sum(axis=1, keepdims=True)
-    return (scale * sums ** (1.0 / r))[:, 0], np.sign(y) * u ** (r - 1.0) / (scale * sums)
-
-
 def _dual_ratios(frame, z, p_dual, q_dual):
     """||y||_{p'} / ||y||_{q'} at y = frame z for the rows z, and the
-    gradients of the log ratios in y."""
+    gradients of the log ratios in y.
+
+    Finite exponents only.  Both norms share |y|, its row max and the sign
+    of y; each is scaled by the row max, so no power overflows.
+    """
     y = z @ frame.T
-    num, grad_num = _log_norms(y, p_dual)
-    den, grad_den = _log_norms(y, q_dual)
-    return num / den, grad_num - grad_den
+    absy = np.abs(y)
+    scale = absy.max(axis=1, keepdims=True)
+    u = absy / scale
+    sign = np.sign(y)
+    sum_p = (u**p_dual).sum(axis=1, keepdims=True)
+    sum_q = (u**q_dual).sum(axis=1, keepdims=True)
+    num = (scale * sum_p ** (1.0 / p_dual))[:, 0]
+    den = (scale * sum_q ** (1.0 / q_dual))[:, 0]
+    grads = sign * u ** (p_dual - 1.0) / (scale * sum_p) - sign * u ** (q_dual - 1.0) / (scale * sum_q)
+    return num / den, grads
 
 
 def _dual_sup(frame, p_dual, q_dual, z, steps):
     """Max over the unit sphere of ||frame z||_{p'} / ||frame z||_{q'} by
     projected gradient ascent from every row of z, with the ratio's gradient
-    in y = frame z and the maximizing z.
+    in y = frame z and the maximizing z.  p' and q' are finite.
 
     The log ratio is homogeneous of degree 0, so its gradient is tangent to
     the sphere.  Each start keeps its own step, which grows after an
     improving move and halves after a rejected one, so no start's value ever
     falls.  Every iterate is feasible: the result never exceeds the true max.
     """
-    z = z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = z / np.sqrt(np.sum(z * z, axis=1, keepdims=True))
     vals, grads = _dual_ratios(frame, z, p_dual, q_dual)
     step = np.full((len(z), 1), 0.5)
     for _ in range(steps):
         trial = z + step * (grads @ frame)
-        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        trial /= np.sqrt(np.sum(trial * trial, axis=1, keepdims=True))
         tvals, tgrads = _dual_ratios(frame, trial, p_dual, q_dual)
         up = tvals > vals
         z = np.where(up[:, None], trial, z)
@@ -216,8 +205,9 @@ def ball_width_bruteforce(
 ):
     """Direct minimization of the worst-case l_q distance over n-subspaces.
 
-    n = 0, n = m and p = q return the exact width coordinate_subspace_bound
-    ('two-sided', no restarts).  Otherwise returns an upper-bound estimate
+    n = 0, n = m and q <= p return the exact width coordinate_subspace_bound,
+    (m - n)^(1/q - 1/p) (Pietsch, Stesin), labelled 'two-sided' with no
+    restarts.  Otherwise (p < q) returns an upper-bound estimate
     (it exhibits a concrete subspace).  Restart 0 is the coordinate subspace,
     scored by its closed-form value with stop 'stationary', so the value
     never lands above the coordinate-subspace bound and restarts=1 runs no
@@ -235,23 +225,22 @@ def ball_width_bruteforce(
     if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
         raise InvalidExponentError("brute force needs finite exponents")
 
-    if n in (0, m) or p == q:
+    if n in (0, m) or q <= p:
         return WidthEstimate(coordinate_subspace_bound(inst), "two-sided", "closed-form", {"restarts": 0})
 
     # p = 1 descends on a frame of the subspace itself, p > 1 on a frame of
-    # its complement.
+    # its complement, with the finite Hoelder conjugates of 1 < p < q.
     dual = p > 1.0
-    p_dual, q_dual = _conjugate(p), _conjugate(q)
     cols = m - n if dual else n
 
     def sup(frame, z, steps):
         """Inner sup estimate of one frame and the state its gradient needs."""
         if dual:
-            return _dual_sup(frame, p_dual, q_dual, _dual_starts(frame, z), steps)
+            return _dual_sup(frame, p / (p - 1.0), q / (q - 1.0), _dual_starts(frame, z), steps)
         return _vertex_sup(frame, q)
 
     # Restart 0: the coordinate frame at its exact value.  Its envelope
-    # gradient is 0 (or it is optimal, at q < p), so descent would not move it.
+    # gradient is 0, so descent would not move it.
     per_restart = [coordinate_subspace_bound(inst)]
     frames = [np.eye(m)[:, n:] if dual else np.eye(m, n)]
     stops = ["stationary"]

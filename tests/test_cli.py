@@ -469,8 +469,8 @@ class TestWidthsCommand:
             widths = [float(r["value"]) for r in csv.DictReader(fh) if r["quantity"] == "bruteforce_width"]
         assert widths == [1.0] * 4
 
-    def test_q_below_p_converges_with_stop_reasons(self, tmp_path):
-        # Seed 4 made this cell exit 3 (nonconverged) under the primal ascent.
+    def test_q_below_p_is_closed_form(self, tmp_path):
+        # Exact (Pietsch, Stesin): seed 4 made this cell exit 3 under the primal ascent.
         code = run(
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "1.5",
              "--restarts", "2", "--seed", "4", "--out", str(tmp_path)]
@@ -478,10 +478,19 @@ class TestWidthsCommand:
         assert code == 0
         with open(tmp_path / "report.json") as fh:
             report = json.load(fh)["report"]
-        assert report["nonconverged"] is False
         assert report["converged"] == [True] * 4
-        assert all(len(stops) == 2 and "stationary" in stops for stops in report["stops"])
+        assert report["stops"] == [[]] * 4
+        assert report["medians"] == [None] * 4
         with open(tmp_path / "results.csv", newline="") as fh:
             rows = {(r["n"], r["quantity"]): float(r["value"]) for r in csv.DictReader(fh)}
         for n in range(1, 5):
-            assert rows[(str(n), "bruteforce_width")] >= (5 - n) ** (1 / 3) * (1 - 1e-9)
+            assert rows[(str(n), "bruteforce_width")] == (5 - n) ** (1 / 1.5 - 1 / 3)
+
+    @pytest.mark.parametrize("p, q, label", [("3", "1.5", "two-sided"), ("1.5", "3", "upper-bound")])
+    def test_report_labels_each_n(self, tmp_path, p, q, label):
+        args = ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", p, "--q", q, "--restarts", "2"]
+        assert run(args + ["--max-iter", "2", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "report.json") as fh:
+            report = json.load(fh)["report"]
+        assert report["directions"] == [label] * 4
+        assert report["direction"] == "upper-bound"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from widthlab import (
     BallWidthInstance,
@@ -151,7 +153,7 @@ class TestBruteForce:
         assert est.diagnostics["converged"] == ("stationary" in est.diagnostics["stops"])
 
     def test_closed_forms_run_no_restarts(self):
-        for m, n, p, q in [(4, 0, 2, 1), (4, 4, 1.5, 3), (5, 2, 1, 1), (5, 3, 3, 3)]:
+        for m, n, p, q in [(4, 0, 2, 1), (4, 4, 1.5, 3), (5, 2, 1, 1), (5, 3, 3, 3), (5, 2, 3.0, 1.5)]:
             inst = BallWidthInstance(m, n, p, q)
             est = ball_width_bruteforce(inst, **FAST)
             assert est.value == coordinate_subspace_bound(inst)
@@ -165,11 +167,29 @@ class TestBruteForce:
 
         monkeypatch.setattr(widths, "_dual_sup", unreachable)
         monkeypatch.setattr(widths, "_vertex_sup", unreachable)
-        for p, q in [(1.0, 2.0), (1.5, 3.0), (3.0, 1.5)]:
+        for p, q in [(1.0, 2.0), (1.5, 3.0)]:
             inst = BallWidthInstance(5, 2, p, q)
             est = ball_width_bruteforce(inst, restarts=1)
             assert est.value == coordinate_subspace_bound(inst)
             assert est.diagnostics["stops"] == ["stationary"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.integers(1, widths.DESK_SCALE_MAX_DIM).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+        exponents=st.floats(1.0, 12.0).flatmap(lambda q: st.tuples(st.one_of(st.just(q), st.floats(q, 24.0)), st.just(q))),
+    )
+    def test_q_at_most_p_is_the_pietsch_stesin_closed_form(self, shape, exponents):
+        (m, n), (p, q) = shape, exponents
+
+        def unreachable(*args):
+            raise AssertionError("inner supremum evaluated")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(widths, "_dual_sup", unreachable)
+            mp.setattr(widths, "_vertex_sup", unreachable)
+            est = ball_width_bruteforce(BallWidthInstance(m, n, p, q), restarts=3, seed=1)
+        assert est.value == (0.0 if n == m else (m - n) ** (1.0 / q - 1.0 / p))
+        assert (est.direction, est.method, est.diagnostics) == ("two-sided", "closed-form", {"restarts": 0})
 
     @pytest.mark.parametrize("p, q", [(1.0, 1.5), (1.0, 2.0), (1.0, 3.0), (1.5, 2.0), (1.5, 3.0), (2.0, 3.0)])
     def test_envelope_gradient_vanishes_at_the_coordinate_frame(self, p, q):
@@ -183,7 +203,7 @@ class TestBruteForce:
                     frame = np.eye(m)[:, n:]
                     starts = widths._dual_starts(frame, rng.standard_normal((SWEEP["inner_starts"], m - n)))
                     _, state = widths._dual_sup(
-                        frame, widths._conjugate(p), widths._conjugate(q), starts, widths.ASCENT_STEPS
+                        frame, p / (p - 1.0), q / (q - 1.0), starts, widths.ASCENT_STEPS
                     )
                 assert not np.any(np.outer(*state)), (m, n)
 
@@ -230,7 +250,7 @@ class TestDualInnerSup:
             frame = widths._orthonormalize(rng.standard_normal((3, 2)))
             starts = widths._dual_starts(frame, rng.standard_normal((SWEEP["final_starts"], 2)))
             value, _ = widths._dual_sup(
-                frame, widths._conjugate(p), widths._conjugate(q), starts, widths.FINAL_ASCENT_STEPS
+                frame, p / (p - 1.0), q / (q - 1.0), starts, widths.FINAL_ASCENT_STEPS
             )
             assert value == pytest.approx(dual_ratio_scan(frame, p, q), rel=1e-9)
 
@@ -243,6 +263,38 @@ class TestDualInnerSup:
             line = widths._orthonormalize(rng.standard_normal((3, 1)))
             primal, _ = widths._vertex_sup(line, q)
             assert primal == pytest.approx(dual_ratio_scan(widths._complement(line), 1.0, q), rel=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.integers(1, widths.DESK_SCALE_MAX_DIM).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+        p_dual=st.floats(1.01, 16.0),
+        q_dual=st.floats(1.01, 16.0),
+    )
+    def test_fused_ratios_match_direct_sums(self, seed, shape, p_dual, q_dual):
+        m, cols = shape
+        rng = np.random.default_rng(seed)
+        frame = widths._orthonormalize(rng.standard_normal((m, cols)))
+        z = rng.standard_normal((4, cols))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        ratios, grads = widths._dual_ratios(frame, z, p_dual, q_dual)
+
+        def direct(z):
+            absy = np.abs(z @ frame.T)
+            return np.sum(absy**p_dual, axis=1) ** (1 / p_dual) / np.sum(absy**q_dual, axis=1) ** (1 / q_dual)
+
+        np.testing.assert_allclose(ratios, direct(z), rtol=1e-13, atol=0)
+        if cols == 1:
+            return  # the sphere of R^1 is two points: no tangent to check
+        # The log ratio along the great circle through z with unit tangent t.
+        tangents = rng.standard_normal(z.shape)
+        tangents -= np.sum(tangents * z, axis=1, keepdims=True) * z
+        tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+        h = 1e-6
+        up = np.log(direct(math.cos(h) * z + math.sin(h) * tangents))
+        down = np.log(direct(math.cos(h) * z - math.sin(h) * tangents))
+        slopes = np.sum((grads @ frame) * tangents, axis=1)
+        np.testing.assert_allclose((up - down) / (2 * h), slopes, rtol=1e-5, atol=1e-7)
 
     def test_q_below_p_reaches_the_exact_width(self):
         # Exact: (m - n)^(1/q - 1/p) (Pietsch, Stesin).
