@@ -179,19 +179,23 @@ def synthesize_rows(coeffs, n_grid, shift=0.0):
 
     The samples lie at 2pi (j + shift) / n_grid, j = 0..n_grid-1.  The rows
     lie along the last axis; any leading axes are batch axes and are kept in
-    the output, which has n_grid samples per row.
+    the output, which has n_grid samples per row.  Only the m + 1 nonzero bins
+    are built, so the output is the one full-grid array.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     m = (coeffs.shape[-1] - 1) // 2
     if n_grid < 2 * m + 1:
         raise GridTooCoarseError(f"grid of {n_grid} points cannot resolve degree {m}")
-    # Inverse FFT of the half-complex spectrum n_grid * c_k, with c_0 = a0 and
-    # c_k = (a_k - i b_k)/2 turned by e^{2pi i k shift/n_grid}.  Only the m+1
-    # nonzero bins are scaled; at shift = 0 the factor is exactly 0.5*n_grid.
-    twiddle = 0.5 * n_grid * np.exp(2j * np.pi * shift / n_grid * np.arange(1, m + 1))
-    spec = np.zeros(coeffs.shape[:-1] + (n_grid // 2 + 1,), dtype=complex)
-    spec[..., 0] = n_grid * coeffs[..., 0]
-    spec[..., 1 : m + 1] = (coeffs[..., 1 : m + 1] - 1j * coeffs[..., m + 1 :]) * twiddle
+    # Inverse FFT of the bins n_grid * c_k, c_0 = a0 and c_k = (a_k - i b_k)/2
+    # turned by e^{2pi i k shift/n_grid}, which irfft zero-pads.  c_0 is turned
+    # too (2 a0 times 0.5*n_grid), so numpy's complex multiply loops along each
+    # row; a loop across the rows (at m = 1) rounds by the row's position.
+    twiddle = 0.5 * n_grid * np.exp(2j * np.pi * shift / n_grid * np.arange(m + 1))
+    spec = np.zeros(coeffs.shape[:-1] + (m + 1,), dtype=complex)
+    spec.real[..., 0] = 2.0 * coeffs[..., 0]
+    spec.real[..., 1:] = coeffs[..., 1 : m + 1]
+    spec.imag[..., 1:] = -coeffs[..., m + 1 :]
+    spec *= twiddle
     return np.fft.irfft(spec, n=n_grid, axis=-1)
 
 

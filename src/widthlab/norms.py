@@ -9,6 +9,8 @@ one-row case.  The p = 1 brute-force widths run it on the vertices of the
 l_1 ball.
 """
 
+import os
+
 import numpy as np
 
 from .errors import (
@@ -20,10 +22,12 @@ from .fourier import TrigPoly, _analyze_rows, analyze, synthesize_rows
 
 QUADRATURE_TOL = 1e-10
 QUADRATURE_CAP = 2**16
-# Most samples synthesized at once: 31 rows of the largest midpoint transform
-# (33,280 points), or 16 rows of an even-p grid at the cap.  The FFT
-# vectorises across rows; blocks of 1-4 capped rows ran 35-55% slower.
+# Most samples synthesized at once, over all workers: a level's rows run in
+# blocks of at most QUADRATURE_BLOCK // _WORKERS samples each, one block per
+# worker thread (numpy's FFT and ufuncs release the GIL).
 QUADRATURE_BLOCK = 2**20
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool = None  # created by the first level that splits into blocks
 # Most samples in one block of best_approx_rows' weighted basis (rows x grid
 # points x basis functions).
 IRLS_BLOCK = QUADRATURE_BLOCK
@@ -44,21 +48,33 @@ def lp_norm(f, p):
     return float(_trapezoid_lp(f.samples, p))
 
 
+def _block_power_sums(rows, n_grid, p, shift):
+    x = synthesize_rows(rows, n_grid, shift)
+    np.abs(x, out=x)
+    np.power(x, p, out=x)
+    return np.sum(x, axis=-1)
+
+
 def _power_sums(coeffs, n_grid, p, shift=0.0):
     """Sums of |t|^p over the points 2pi (j + shift) / n_grid of coefficient rows.
 
-    Rows are synthesized in blocks of whole rows holding at most
-    QUADRATURE_BLOCK samples, which bounds the memory of large batches.  Each
-    row's transform and sum are independent of the other rows, so the sums
-    do not depend on the blocking.
+    Rows run in blocks of whole rows holding at most QUADRATURE_BLOCK // _WORKERS
+    samples, on a pool of _WORKERS threads when there are several.  Each row's
+    transform and sum are independent of the other rows, so the sums do not
+    depend on the blocking or the worker count.
     """
+    global _pool
     rows = coeffs.reshape(-1, coeffs.shape[-1])
-    step = max(1, QUADRATURE_BLOCK // n_grid)
-    blocks = [
-        np.sum(np.abs(synthesize_rows(rows[i : i + step], n_grid, shift)) ** p, axis=-1)
-        for i in range(0, len(rows), step)
-    ]
-    return np.concatenate(blocks).reshape(coeffs.shape[:-1])
+    step = max(1, QUADRATURE_BLOCK // _WORKERS // n_grid)
+    blocks = [rows[i : i + step] for i in range(0, len(rows), step)]
+    if len(blocks) > 1 and _WORKERS > 1:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # kept off the start-up path
+            _pool = ThreadPoolExecutor(_WORKERS)
+        sums = list(_pool.map(lambda block: _block_power_sums(block, n_grid, p, shift), blocks))
+    else:
+        sums = [_block_power_sums(block, n_grid, p, shift) for block in blocks]
+    return np.concatenate(sums).reshape(coeffs.shape[:-1])
 
 
 def _grid_lp(coeffs, n_grid, p):

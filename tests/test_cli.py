@@ -2,8 +2,10 @@ import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -139,6 +141,15 @@ def run_fresh(code):
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
+@pytest.fixture
+def quadrature_workers(monkeypatch):
+    """Set the quadrature's worker count, from no pool; a pool it starts is shut down after."""
+    monkeypatch.setattr(widthlab.norms, "_pool", None)
+    yield lambda workers: monkeypatch.setattr(widthlab.norms, "_WORKERS", workers)
+    if widthlab.norms._pool is not None:
+        widthlab.norms._pool.shutdown()
+
+
 def write_series(path, pairs):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -151,6 +162,26 @@ class TestImportGraph:
         proc = run_fresh("import sys, widthlab.cli; print('scipy' in sys.modules)")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_and_quadrature_free_commands_start_no_thread(self, tmp_path):
+        data = tmp_path / "data.csv"
+        write_series(data, [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128, 256, 512)])
+        runs = [
+            ["widths", "--m", "4", "--n-list", "2", "--p", "1.5", "--q", "3", "--restarts", "2"],
+            ["catalog", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3"],
+            ["fit", "--input", str(data)],
+        ]
+        proc = run_fresh(
+            "import threading, widthlab\n"
+            "counts = [threading.active_count()]\n"
+            "from widthlab.cli import main\n"
+            f"for i, args in enumerate({runs!r}):\n"
+            f"    assert main(args + ['--out', {str(tmp_path)!r} + f'/{{i}}']) == 0\n"
+            "    counts.append(threading.active_count())\n"
+            "print('threads', *counts)"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-5:] == ["threads", "1", "1", "1", "1"]
 
     def test_fit_runs_with_scipy_blocked(self, tmp_path):
         data, out = tmp_path / "data.csv", tmp_path / "out"
@@ -426,6 +457,39 @@ class TestMzCommand:
         assert err.count("\n") == 1
         assert "config error: mz " in err
         assert not out.exists()
+
+    def test_memory_error_in_a_worker_is_config_error(self, tmp_path, capsys, monkeypatch, quadrature_workers):
+        # Injected, as above, into the blocks that run on pool threads only.
+        synthesize_rows = widthlab.norms.synthesize_rows
+        failed = []
+
+        def exhausted_in_worker(coeffs, n_grid, shift=0.0):
+            if threading.current_thread() is not threading.main_thread():
+                failed.append(n_grid)
+                raise MemoryError
+            return synthesize_rows(coeffs, n_grid, shift)
+
+        monkeypatch.setattr(widthlab.norms, "synthesize_rows", exhausted_in_worker)
+        quadrature_workers(2)
+        out = tmp_path / "out"
+        assert run(["mz", "--p-list", "1.5", "--out", str(out)]) == 2
+        assert failed
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "config error: mz " in err
+        assert not out.exists()
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, quadrature_workers):
+        args = ["mz", "--p-list", "1.5", "--m-list", "4", "--trials", "20", "--out", str(tmp_path / "out")]
+        outputs = []
+        for workers in (1, 2):
+            quadrature_workers(workers)
+            assert run(args) == 0
+            outputs.append([read(tmp_path / "out" / name) for name in ("results.csv", "report.json")])
+            shutil.rmtree(tmp_path / "out")
+        # At 2 workers the capped levels of the 20 rows split into blocks.
+        assert widthlab.norms._pool is not None
+        assert outputs[0] == outputs[1]
 
 
 class TestWidthsCommand:

@@ -150,6 +150,23 @@ class TestSynthesizeRows:
         expected = np.fft.irfft(spec, n=n_grid, axis=-1)
         assert np.array_equal(synthesize_rows(coeffs, n_grid), expected)
 
+    # At degree 1 a twiddle broadcast over the rows makes numpy's complex
+    # multiply loop across them, and it rounds by the row's position there.
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_grid=st.sampled_from([256, 260, 1040]),
+        degree=st.integers(0, 3) | st.integers(0, 127),
+        rows=st.integers(2, 40),
+        shift=st.sampled_from([0.0, 0.25, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_do_not_depend_on_the_batch(self, n_grid, degree, rows, shift, seed):
+        coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
+        whole = synthesize_rows(coeffs, n_grid, shift)
+        for step in (1, 3):
+            blocks = [synthesize_rows(coeffs[i : i + step], n_grid, shift) for i in range(0, rows, step)]
+            assert np.array_equal(np.concatenate(blocks), whole)
+
     @pytest.mark.parametrize("degree, n_grid", [(1, 256), (7, 15), (33, 260), (127, 516)])
     def test_midpoints_match_direct_evaluation(self, degree, n_grid):
         t = random_poly(np.random.default_rng(degree), degree)

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -31,6 +33,20 @@ from widthlab.norms import (
 
 def random_poly(rng, degree):
     return TrigPoly(0.0, rng.standard_normal(degree), rng.standard_normal(degree))
+
+
+@contextlib.contextmanager
+def quadrature_workers(workers, block=QUADRATURE_BLOCK):
+    """Run the quadrature with this worker count and block, from no pool."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "_WORKERS", workers)
+        mp.setattr(norms, "QUADRATURE_BLOCK", block)
+        mp.setattr(norms, "_pool", None)
+        try:
+            yield
+        finally:
+            if norms._pool is not None:
+                norms._pool.shutdown()
 
 
 class TestLpNorm:
@@ -71,12 +87,81 @@ class TestQuadrature:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_blocked_norms_equal_whole_batch(self, n_grid, degree, extra_rows, p, seed):
-        # One full block plus part of another, so every batch is split.
-        block_rows = QUADRATURE_BLOCK // n_grid
+        # One full per-worker block plus part of another, so every batch is split.
+        block_rows = max(1, QUADRATURE_BLOCK // norms._WORKERS // n_grid)
         rows = block_rows + 1 + extra_rows % block_rows
         coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
         whole = _trapezoid_lp(synthesize_rows(coeffs, n_grid), p)
         assert np.array_equal(_grid_lp(coeffs, n_grid, p), whole)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_grid=st.sampled_from([256, 260, 516, 2**12]),
+        degree=st.integers(1, 127),
+        rows=st.integers(1, 40),
+        p=st.floats(1.0, 8.0),
+        block=st.sampled_from([QUADRATURE_BLOCK, 2**13, 2**12]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_power_sums_do_not_depend_on_blocking(self, n_grid, degree, rows, p, block, seed):
+        coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
+        for shift in (0.0, 0.5):
+            whole = np.sum(np.abs(synthesize_rows(coeffs, n_grid, shift)) ** p, axis=-1)
+            for workers in (1, 2, 3):
+                with quadrature_workers(workers, block):
+                    assert np.array_equal(_power_sums(coeffs, n_grid, p, shift), whole)
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        m=st.integers(1, 64),
+        rows=st.integers(2, 16),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 7.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_quadrature_is_the_same_with_and_without_the_pool(self, m, rows, p, seed):
+        coeffs = _random_unit_polys(m, rows, np.random.default_rng(seed))
+        # A block of 2^9 samples holds one row per worker, so every level splits.
+        with quadrature_workers(1, 2**9):
+            serial = _quadrature_lp(coeffs, p)
+            assert norms._pool is None
+        with quadrature_workers(2, 2**9):
+            pooled = _quadrature_lp(coeffs, p)
+            assert norms._pool is not None
+        assert np.array_equal(pooled, serial)
+
+    # p = 1.5 runs the ladder to the cap; p = 2^10 transforms one exact grid
+    # at the cap.
+    @pytest.mark.parametrize("p", [1.5, 2.0**10])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_one_block_per_worker_in_flight(self, monkeypatch, p, workers):
+        calls = []
+
+        def recording(coeffs, n_grid, shift=0.0):
+            calls.append((len(coeffs), n_grid))
+            return synthesize_rows(coeffs, n_grid, shift)
+
+        monkeypatch.setattr(norms, "synthesize_rows", recording)
+        # Scaled so that |t|^(2^10) stays finite.
+        coeffs = 0.1 * _random_unit_polys(64, 200, np.random.default_rng(3))
+        with quadrature_workers(workers):
+            _quadrature_lp(coeffs, p)
+        assert max(n_grid for _, n_grid in calls) >= 2**15
+        assert all(rows == 1 or rows * n_grid <= QUADRATURE_BLOCK // workers for rows, n_grid in calls)
+
+    def test_pool_starts_only_for_a_split_level_on_several_cpus(self):
+        threads = threading.active_count()
+        coeffs = _random_unit_polys(8, 200, np.random.default_rng(4))
+        # One CPU: every level runs inline, however many blocks it has.
+        with quadrature_workers(1):
+            _quadrature_lp(coeffs, 1.5)
+            assert norms._pool is None
+        # Two CPUs, but 4 rows never fill a block below the cap.
+        with quadrature_workers(2):
+            _quadrature_lp(coeffs[:4], 1.5)
+            assert norms._pool is None
+            _quadrature_lp(coeffs, 1.5)
+            assert norms._pool is not None
+        assert threading.active_count() == threads
 
     # m = 64, p = 6: the start grid 4(m+1) = 260 is below 6m = 384, and 520
     # is the first grid on the doubling ladder that integrates |t|^6 exactly.
