@@ -45,15 +45,19 @@ class TrigPoly:
         return len(self.a)
 
     @classmethod
-    def harmonic(cls, k, cos_amp=1.0, sin_amp=0.0):
-        """Single harmonic cos_amp*cos(kx) + sin_amp*sin(kx)."""
+    def harmonic(cls, k):
+        """Single harmonic cos(kx); k = 0 gives the constant 1."""
         if k == 0:
-            return cls(cos_amp, np.zeros(0), np.zeros(0))
+            return cls(1.0, np.zeros(0), np.zeros(0))
         a = np.zeros(k)
-        b = np.zeros(k)
-        a[k - 1] = cos_amp
-        b[k - 1] = sin_amp
-        return cls(0.0, a, b)
+        a[k - 1] = 1.0
+        return cls(0.0, a, np.zeros(k))
+
+    @classmethod
+    def from_coeffs(cls, c):
+        """Polynomial of a flat coefficient vector (a0, a_1..a_n, b_1..b_n)."""
+        n = (len(c) - 1) // 2
+        return cls(c[0], c[1 : n + 1], c[n + 1 :])
 
     def coeff_vector(self):
         """Flat coefficient vector (a0, a_1..a_n, b_1..b_n)."""
@@ -228,8 +232,7 @@ def _analyze_rows(samples, m):
 
 def analyze(f, m):
     """Degree-m Fourier partial sum of f by discrete quadrature (projection S_m)."""
-    c = _analyze_rows(f.samples, m)
-    return TrigPoly(c[0], c[1 : m + 1], c[m + 1 :])
+    return TrigPoly.from_coeffs(_analyze_rows(f.samples, m))
 
 
 def _multiplier_rows(kernel, coeffs):
@@ -252,13 +255,12 @@ def _multiplier_rows(kernel, coeffs):
     )
 
 
-def apply_multiplier(kernel, phi, keep_constant=False):
+def apply_multiplier(kernel, phi):
     """Coefficientwise multiplier action with phase rotation theta = beta*pi/2.
 
-    The constant term is dropped by default (the harmonic sums start at k=1).
+    The constant term is dropped (the harmonic sums start at k=1).
     """
-    c = _multiplier_rows(kernel, phi.coeff_vector())
-    return TrigPoly(phi.a0 if keep_constant else 0.0, c[1 : phi.degree + 1], c[phi.degree + 1 :])
+    return TrigPoly.from_coeffs(_multiplier_rows(kernel, phi.coeff_vector()))
 
 
 def convolution_constant():

@@ -24,13 +24,11 @@ QUADRATURE_TOL = 1e-10
 QUADRATURE_CAP = 2**16
 # Most samples synthesized at once, over all workers: a level's rows run in
 # blocks of at most QUADRATURE_BLOCK // _WORKERS samples each, one block per
-# worker thread (numpy's FFT and ufuncs release the GIL).
+# worker thread (numpy's FFT and ufuncs release the GIL).  It also bounds one
+# block of best_approx_rows' weighted basis.
 QUADRATURE_BLOCK = 2**20
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _pool = None  # created by the first level that splits into blocks
-# Most samples in one block of best_approx_rows' weighted basis (rows x grid
-# points x basis functions).
-IRLS_BLOCK = QUADRATURE_BLOCK
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 200
 
@@ -82,14 +80,14 @@ def _grid_lp(coeffs, n_grid, p):
     return (2.0 * np.pi / n_grid * _power_sums(coeffs, n_grid, p)) ** (1.0 / p)
 
 
-def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
+def _quadrature_lp(coeffs, p):
     """L_p norms of coefficient rows (a0, a, b), refining a shared grid until stable.
 
     |t|^p is not band-limited for non-even p, so the grid is doubled until no
-    row's norm moves by more than tol relative (cap 2^16 points).  The ladder
-    is nested: each doubling synthesizes only the midpoints of the old grid
-    and adds their power sums to the old ones.  For even integer p, |t|^p is
-    a trig polynomial, and one exact grid suffices.
+    row's norm moves by more than QUADRATURE_TOL relative (cap 2^16 points).
+    The ladder is nested: each doubling synthesizes only the midpoints of the
+    old grid and adds their power sums to the old ones.  For even integer p,
+    |t|^p is a trig polynomial, and one exact grid suffices.
     """
     m = (coeffs.shape[-1] - 1) // 2
     n_grid = max(256, 4 * (m + 1))
@@ -106,32 +104,28 @@ def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
         sums = sums + _power_sums(coeffs, n_grid, p, shift=0.5)
         n_grid *= 2
         cur = (2.0 * np.pi / n_grid * sums) ** (1.0 / p)
-        if np.all(np.abs(cur - prev) <= tol * cur):
+        if np.all(np.abs(cur - prev) <= QUADRATURE_TOL * cur):
             return cur
         prev = cur
     return prev
 
 
-def poly_lp_norms(coeffs, p, tol=QUADRATURE_TOL):
+def poly_lp_norms(coeffs, p):
     """L_p norms of coefficient rows (a0, a, b) by grid-refined quadrature."""
     if not 1 <= p < np.inf:
         raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
-    return _quadrature_lp(np.asarray(coeffs, dtype=float), p, tol)
+    return _quadrature_lp(np.asarray(coeffs, dtype=float), p)
 
 
-def poly_lp_norm(t, p, tol=QUADRATURE_TOL):
+def poly_lp_norm(t, p):
     """L_p norm of a trigonometric polynomial: the one-row case of poly_lp_norms."""
-    return float(poly_lp_norms(t.coeff_vector(), p, tol))
+    return float(poly_lp_norms(t.coeff_vector(), p))
 
 
 def _design_matrix(x, n):
     k = np.arange(1, n + 1)
     kx = np.multiply.outer(x, k)
     return np.hstack([np.ones((len(x), 1)), np.cos(kx), np.sin(kx)])
-
-
-def _coeffs_to_poly(c, n):
-    return TrigPoly(c[0], c[1 : n + 1], c[n + 1 :])
 
 
 def _lq_regress(phi, x, q, c):
@@ -141,9 +135,13 @@ def _lq_regress(phi, x, q, c):
     Every step is taken in full, damped to the Newton step 1/(q-1) for q > 2,
     which keeps the iteration contractive.  The solve stops when the largest
     coefficient step, or every row's change in l_q error, is at most IRLS_TOL
-    relative; it is unconverged after IRLS_MAX_ITER steps.  The problem is
-    scale-invariant, so the loop runs on data scaled to a largest entry of 1,
-    which makes the weight floor 1e-12 and the step test relative too.
+    relative; it is unconverged after IRLS_MAX_ITER steps.  The error can
+    settle while a coefficient is still off next to a sample of huge weight
+    |r|^(q-2), so that exit also needs each row's first-order residual
+    max_k |phi_k . sign(r)|r|^(q-1)| to be at most 1e-6 sum |r|^(q-1).  The
+    problem is scale-invariant, so the loop runs on data scaled to a largest
+    entry of 1, which makes the weight floor 1e-12 and the step test relative
+    too.
     """
     scale = float(np.max(np.abs(x))) or 1.0
     x, c = x / scale, c / scale
@@ -157,9 +155,12 @@ def _lq_regress(phi, x, q, c):
         c = c + delta
         resid = x - c @ phi.T
         err_new = np.sum(np.abs(resid) ** q, axis=-1) ** (1.0 / q)
-        if np.max(np.abs(delta)) <= IRLS_TOL * max(1.0, np.max(np.abs(c))) or np.all(
-            np.abs(err_new - err) <= IRLS_TOL * err_new
-        ):
+        settled = np.all(np.abs(err_new - err) <= IRLS_TOL * err_new)
+        if settled:
+            power = np.abs(resid) ** (q - 1.0)
+            grad = np.max(np.abs((np.sign(resid) * power) @ phi), axis=-1)
+            settled = np.all(grad <= 1e-6 * np.sum(power, axis=-1))
+        if settled or np.max(np.abs(delta)) <= IRLS_TOL * max(1.0, np.max(np.abs(c))):
             return c * scale, True
         err = err_new
     return c * scale, False
@@ -171,8 +172,8 @@ def best_approx_rows(samples, n, q, start=None):
     Returns the L_q errors and the argmin coefficient rows (a0, a, b).  The
     start rows default to the Fourier partial sums, already the q = 2
     answers; other q reweight from there (_lq_regress), in blocks of rows
-    whose weighted basis holds at most IRLS_BLOCK samples.  Convex in the
-    coefficients for 1 < q < infinity.
+    whose weighted basis (rows x grid points x basis functions) holds at most
+    QUADRATURE_BLOCK samples.  Convex in the coefficients for 1 < q < infinity.
     """
     if not 1.0 < q < np.inf:
         raise InvalidExponentError(f"q must lie in (1, inf), got {q}")
@@ -185,7 +186,7 @@ def best_approx_rows(samples, n, q, start=None):
     phi = _design_matrix(2.0 * np.pi * np.arange(size) / size, n)
     converged = True
     if q != 2.0:
-        step = max(1, IRLS_BLOCK // phi.size)
+        step = max(1, QUADRATURE_BLOCK // phi.size)
         blocks = [
             _lq_regress(phi, samples[i : i + step], q, c[i : i + step]) for i in range(0, len(samples), step)
         ]
@@ -206,16 +207,7 @@ def best_approx(f, n, q):
     The one-row case of best_approx_rows, started from analyze(f, n).
     """
     (err,), (c,) = best_approx_rows(f.samples[None, :], n, q, analyze(f, n).coeff_vector()[None, :])
-    return float(err), _coeffs_to_poly(c, n)
-
-
-def _mz_values(coeffs, m):
-    """Coefficient rows (a0, a, b) evaluated at 2pi k/(2m+1), k = 1..2m+1."""
-    degree = (coeffs.shape[-1] - 1) // 2
-    points = 2.0 * np.pi * np.arange(1, 2 * m + 2) / (2 * m + 1)
-    kx = np.multiply.outer(points, np.arange(1, degree + 1))
-    a0, a, b = coeffs[..., :1], coeffs[..., 1 : degree + 1], coeffs[..., degree + 1 :]
-    return a0 + a @ np.cos(kx).T + b @ np.sin(kx).T
+    return float(err), TrigPoly.from_coeffs(c)
 
 
 def _check_mz(m, p):
@@ -242,7 +234,7 @@ def mz_ratio_stats(m, p, trials, seed):
     if trials < 1:
         raise InvalidExponentError("trials must be >= 1")
     coeffs = _random_unit_polys(m, trials, np.random.default_rng(seed))
-    values = _mz_values(coeffs, m)
-    discrete = m ** (-1.0 / p) * np.sum(np.abs(values) ** p, axis=1) ** (1.0 / p)
+    # The sampling points 2pi k/(2m+1), k = 1..2m+1, form the uniform grid.
+    discrete = m ** (-1.0 / p) * _power_sums(coeffs, 2 * m + 1, p) ** (1.0 / p)
     ratios = discrete / _quadrature_lp(coeffs, p)
     return float(np.min(ratios)), float(np.max(ratios))

@@ -71,7 +71,7 @@ class RateModel:
 class RegimeVerdict:
     width_rate: RateModel
     en_rate: RateModel
-    optimal: str  # 'optimal', 'not-optimal' or 'optimal-up-to-constants'
+    optimal: str  # 'optimal' or 'not-optimal'
     regime: str
     critical_beta: Optional[float] = None
 

@@ -1,4 +1,4 @@
-"""Dependency-free SVG polyline plots with optional log axes.
+"""Dependency-free log-log SVG polyline plots.
 
 Figures are a convenience next to the CSV/JSON outputs, so this stays tiny:
 axes, tick labels, one polyline per series, a legend.
@@ -12,51 +12,33 @@ MARGIN = 60
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
-def _transform(values, log):
-    return [math.log10(v) for v in values] if log else list(values)
+def _transform(values):
+    return [math.log10(v) for v in values]
 
 
-def _ticks(lo, hi, log):
-    if log:
-        lo_i, hi_i = math.floor(lo), math.ceil(hi)
-        if hi_i - lo_i < 1:
-            hi_i = lo_i + 1
-        return [(t, f"1e{t}") for t in range(lo_i, hi_i + 1)]
-    span = hi - lo or 1.0
-    step = 10 ** math.floor(math.log10(span / 4))
-    for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= 6:
-            step *= mult
-            break
-    first = math.ceil(lo / step) * step
-    out = []
-    t = first
-    while t <= hi + 1e-12 * abs(step):
-        out.append((t, f"{t:g}"))
-        t += step
-    return out
+def _ticks(lo, hi):
+    lo_i, hi_i = math.floor(lo), math.ceil(hi)
+    if hi_i - lo_i < 1:
+        hi_i = lo_i + 1
+    return [(t, f"1e{t}") for t in range(lo_i, hi_i + 1)]
 
 
-def render_plot(series, title="", xlabel="n", ylabel="value", logx=True, logy=True):
-    """Return an SVG document string.
+def render_plot(series, title=""):
+    """Return an SVG document string with log axes labelled n and value.
 
     series: list of (label, xs, ys); points with nonpositive coordinates are
-    dropped when the matching axis is logarithmic.
+    dropped.
     """
     cleaned = []
     for label, xs, ys in series:
-        pts = [
-            (x, y)
-            for x, y in zip(xs, ys)
-            if (not logx or x > 0) and (not logy or y > 0)
-        ]
+        pts = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
         if pts:
             cleaned.append((label, pts))
     if not cleaned:
         raise ValueError("nothing to plot")
 
-    all_x = _transform([x for _, pts in cleaned for x, _ in pts], logx)
-    all_y = _transform([y for _, pts in cleaned for _, y in pts], logy)
+    all_x = _transform([x for _, pts in cleaned for x, _ in pts])
+    all_y = _transform([y for _, pts in cleaned for _, y in pts])
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
@@ -84,32 +66,32 @@ def render_plot(series, title="", xlabel="n", ylabel="value", logx=True, logy=Tr
     parts.append(
         f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" y2="{HEIGHT - MARGIN}" {axis}/>'
     )
-    for t, lab in _ticks(x_lo, x_hi, logx):
+    for t, lab in _ticks(x_lo, x_hi):
         if x_lo <= t <= x_hi:
             parts.append(
                 f'<text x="{sx(t):.1f}" y="{HEIGHT - MARGIN + 16}" '
                 f'text-anchor="middle">{lab}</text>'
             )
-    for t, lab in _ticks(y_lo, y_hi, logy):
+    for t, lab in _ticks(y_lo, y_hi):
         if y_lo <= t <= y_hi:
             parts.append(
                 f'<text x="{MARGIN - 6}" y="{sy(t):.1f}" text-anchor="end" '
                 f'dominant-baseline="middle">{lab}</text>'
             )
     parts.append(
-        f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle">n</text>'
     )
     parts.append(
         f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {HEIGHT / 2})">{ylabel}</text>'
+        f'transform="rotate(-90 16 {HEIGHT / 2})">value</text>'
     )
     for idx, (label, pts) in enumerate(cleaned):
         color = COLORS[idx % len(COLORS)]
         coords = " ".join(
             f"{sx(xv):.2f},{sy(yv):.2f}"
             for xv, yv in zip(
-                _transform([x for x, _ in pts], logx),
-                _transform([y for _, y in pts], logy),
+                _transform([x for x, _ in pts]),
+                _transform([y for _, y in pts]),
             )
         )
         parts.append(

@@ -288,7 +288,6 @@ def ball_width_bruteforce(
         "bruteforce",
         {
             "restarts": restarts,
-            "best": float(values[best_idx]),
             "median": float(np.median(values)),
             "converged": "stationary" in stops,
             "stops": stops,

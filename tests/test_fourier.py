@@ -31,6 +31,21 @@ def random_poly(rng, degree, with_const=True):
     )
 
 
+class TestTrigPoly:
+    @settings(max_examples=30, deadline=None)
+    @given(degree=st.integers(0, 12), with_const=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_from_coeffs_inverts_coeff_vector(self, degree, with_const, seed):
+        t = random_poly(np.random.default_rng(seed), degree, with_const)
+        back = TrigPoly.from_coeffs(t.coeff_vector())
+        assert back.a0 == t.a0
+        np.testing.assert_array_equal(back.a, t.a)
+        np.testing.assert_array_equal(back.b, t.b)
+
+    def test_harmonic_zero_is_the_constant_one(self):
+        t = TrigPoly.harmonic(0)
+        assert (t.a0, t.degree) == (1.0, 0)
+
+
 class TestEvalPoly:
     def test_cos_at_zero(self):
         assert eval_poly(TrigPoly.harmonic(1), 0.0) == pytest.approx(1.0)
@@ -112,8 +127,6 @@ class TestApplyMultiplier:
         kernel = MultiplierKernel(Table(np.ones(2)))
         out = apply_multiplier(kernel, TrigPoly(3.0, np.ones(2), np.ones(2)))
         assert out.a0 == 0.0
-        kept = apply_multiplier(kernel, TrigPoly(3.0, np.ones(2), np.ones(2)), keep_constant=True)
-        assert kept.a0 == 3.0
 
     def test_truncation_exceeded(self):
         kernel = MultiplierKernel(Table(np.ones(2)))
