@@ -318,17 +318,20 @@ def run_mz(config):
 
     results = [mz_ratio_stats(m, p, config["trials"], s) for (p, m), s in zip(cells, seeds)]
     rows = []
-    constants = {}
-    for (p, m), (lo, hi) in zip(cells, results):
+    constants, quadrature = {}, {}
+    for (p, m), (lo, hi, quad) in zip(cells, results):
         rows.append((m, fmt(p), "min_ratio", lo))
         rows.append((m, fmt(p), "max_ratio", hi))
         constants.setdefault(fmt(p), {})[str(m)] = {"min": lo, "max": hi}
+        # The final grid of the extremes' L_p quadrature, and whether it
+        # converged or stopped at the cap.
+        quadrature.setdefault(fmt(p), {})[str(m)] = quad
     series = []
     for p in sorted({p for p, _ in cells}):
         ms = [m for pp, m in cells if pp == p]
         his = [r[1] for (pp, _), r in zip(cells, results) if pp == p]
         series.append((f"max p={p:g}", ms, his))
-    return rows, ("m", "p", "quantity", "value"), {"constants": constants}, series
+    return rows, ("m", "p", "quantity", "value"), {"constants": constants, "quadrature": quadrature}, series
 
 
 def _series_from_rows(rows):

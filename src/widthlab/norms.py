@@ -22,6 +22,9 @@ from .fourier import TrigPoly, _analyze_rows, analyze, synthesize_rows
 
 QUADRATURE_TOL = 1e-10
 QUADRATURE_CAP = 2**16
+# The screening tolerance and band multiple of mz_ratio_stats.
+MZ_SCREEN_TOL = 1e-5
+MZ_BAND = 100.0
 # Most samples synthesized at once, over all workers: a level's rows run in
 # blocks of at most QUADRATURE_BLOCK // _WORKERS samples each, one block per
 # worker thread (numpy's FFT and ufuncs release the GIL).  It also bounds one
@@ -80,41 +83,49 @@ def _grid_lp(coeffs, n_grid, p):
     return (2.0 * np.pi / n_grid * _power_sums(coeffs, n_grid, p)) ** (1.0 / p)
 
 
-def _quadrature_lp(coeffs, p):
+def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
     """L_p norms of coefficient rows (a0, a, b), refining a shared grid until stable.
 
-    |t|^p is not band-limited for non-even p, so the grid is doubled until no
-    row's norm moves by more than QUADRATURE_TOL relative (cap 2^16 points).
-    The ladder is nested: each doubling synthesizes only the midpoints of the
-    old grid and adds their power sums to the old ones.  For even integer p,
-    |t|^p is a trig polynomial, and one exact grid suffices.
+    Returns the norms, the final grid and each row's change over the last
+    doubling.  |t|^p is not band-limited for non-even p, so the grid is
+    doubled until no row's norm moves by more than tol relative, or the grid
+    reaches QUADRATURE_CAP; the change is inf where no doubling ran.  The
+    ladder starts on a power of two, so it stops at the cap exactly.  It is
+    nested: each doubling synthesizes only the midpoints of the old grid and
+    adds their power sums to the old ones.  For even integer p, |t|^p is a
+    trig polynomial, and one exact grid suffices: the change is 0, or inf
+    where the cap stops the grid short of exact.
     """
     m = (coeffs.shape[-1] - 1) // 2
-    n_grid = max(256, 4 * (m + 1))
     # Even integer p: |t|^p has degree p*m, so the first grid with more than
     # p*m points integrates it exactly (below the cap, which bounds the work
     # for huge p).
     if p == int(p) and int(p) % 2 == 0:
+        n_grid = max(256, 4 * (m + 1))
         while n_grid <= p * m and n_grid < QUADRATURE_CAP:
             n_grid *= 2
-        return _grid_lp(coeffs, n_grid, p)
+        norms = _grid_lp(coeffs, n_grid, p)
+        return norms, n_grid, np.full(norms.shape, 0.0 if n_grid > p * m else np.inf)
+    # The least power of two >= max(256, 4(m + 1)).
+    n_grid = max(256, 1 << (4 * m + 3).bit_length())
     sums = _power_sums(coeffs, n_grid, p)
-    prev = (2.0 * np.pi / n_grid * sums) ** (1.0 / p)
+    cur = (2.0 * np.pi / n_grid * sums) ** (1.0 / p)
+    change = np.full(cur.shape, np.inf)
     while n_grid < QUADRATURE_CAP:
         sums = sums + _power_sums(coeffs, n_grid, p, shift=0.5)
         n_grid *= 2
-        cur = (2.0 * np.pi / n_grid * sums) ** (1.0 / p)
-        if np.all(np.abs(cur - prev) <= QUADRATURE_TOL * cur):
-            return cur
-        prev = cur
-    return prev
+        prev, cur = cur, (2.0 * np.pi / n_grid * sums) ** (1.0 / p)
+        change = np.abs(cur - prev)
+        if np.all(change <= tol * cur):
+            break
+    return cur, n_grid, change
 
 
 def poly_lp_norms(coeffs, p):
     """L_p norms of coefficient rows (a0, a, b) by grid-refined quadrature."""
     if not 1 <= p < np.inf:
         raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
-    return _quadrature_lp(np.asarray(coeffs, dtype=float), p)
+    return _quadrature_lp(np.asarray(coeffs, dtype=float), p)[0]
 
 
 def poly_lp_norm(t, p):
@@ -228,7 +239,17 @@ def mz_ratio_stats(m, p, trials, seed):
     """Extremes of scaled-discrete-norm / continuous-norm over random polynomials.
 
     Deterministic given the seed; brackets the two-sided sampling constants
-    empirically for one (m, p) cell.
+    empirically for one (m, p) cell.  Returns (min, max, quadrature), where
+    quadrature holds the final grid of the extremes' continuous norms and
+    whether they converged to QUADRATURE_TOL (else they stopped at
+    QUADRATURE_CAP).
+
+    Only the extremes are refined.  The ladder first runs on all rows until
+    no norm moves by more than MZ_SCREEN_TOL relative, and each ratio gets a
+    band of MZ_BAND times its norm's last relative change.  The rows whose
+    band reaches the lowest or the highest band are refined alone.  If a
+    refined ratio lands outside its own band, the bands are not trusted and
+    every row is refined.
     """
     _check_mz(m, p)
     if trials < 1:
@@ -236,5 +257,15 @@ def mz_ratio_stats(m, p, trials, seed):
     coeffs = _random_unit_polys(m, trials, np.random.default_rng(seed))
     # The sampling points 2pi k/(2m+1), k = 1..2m+1, form the uniform grid.
     discrete = m ** (-1.0 / p) * _power_sums(coeffs, 2 * m + 1, p) ** (1.0 / p)
-    ratios = discrete / _quadrature_lp(coeffs, p)
-    return float(np.min(ratios)), float(np.max(ratios))
+    screened, _, change = _quadrature_lp(coeffs, p, MZ_SCREEN_TOL)
+    ratios = discrete / screened
+    band = MZ_BAND * change / screened * ratios
+    low, high = ratios - band, ratios + band
+    rows = (low <= np.min(high)) | (high >= np.max(low))
+    norms, grid, change = _quadrature_lp(coeffs[rows], p)
+    refined = discrete[rows] / norms
+    if np.any(np.abs(refined - ratios[rows]) > band[rows]):
+        norms, grid, change = _quadrature_lp(coeffs, p)
+        refined = discrete / norms
+    converged = bool(np.all(change <= QUADRATURE_TOL * norms))
+    return float(np.min(refined)), float(np.max(refined)), {"grid": grid, "converged": converged}

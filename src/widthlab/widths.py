@@ -236,6 +236,9 @@ def ball_width_bruteforce(
     def sup(frame, z, steps):
         """Inner sup estimate of one frame and the state its gradient needs."""
         if dual:
+            # At m - n = 1 every start normalizes to +-1 exactly, so no ascent
+            # step can be accepted: the starts' values are the exact sup.
+            steps = steps if cols > 1 else 0
             return _dual_sup(frame, p / (p - 1.0), q / (q - 1.0), _dual_starts(frame, z), steps)
         return _vertex_sup(frame, q)
 

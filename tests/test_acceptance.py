@@ -166,7 +166,7 @@ def test_criterion_08_mz_stability():
     for p in (1.5, 2.0, 3.0):
         spreads = []
         for m in ms:
-            lo, hi = mz_ratio_stats(m, p, 200, seed=0)
+            lo, hi, _ = mz_ratio_stats(m, p, 200, seed=0)
             spreads.append(hi / lo)
         cross = max(spreads) / min(spreads)
         details.append(f"p={p:g}:{cross:.3f}")

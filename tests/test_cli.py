@@ -435,6 +435,17 @@ class TestMzCommand:
                 assert float(row["value"]) > 0
 
 
+    def test_report_gives_each_cells_quadrature(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["mz", "--p-list", "1.5", "2", "--m-list", "4", "128", "--trials", "20", "--out", str(out)]) == 0
+        quadrature = json.loads(read(out / "report.json"))["report"]["quadrature"]
+        # p = 2: the first exact grid.  p = 1.5: the ladder converges at
+        # m = 4 and stops at the cap, exactly 2^16 points, at m = 128.
+        assert quadrature == {
+            "1.5": {"4": {"grid": 65536, "converged": True}, "128": {"grid": 65536, "converged": False}},
+            "2": {"4": {"grid": 256, "converged": True}, "128": {"grid": 516, "converged": True}},
+        }
+
     @pytest.mark.parametrize(
         "args", [["--p-list", "0.5", "--m-list", "4"], ["--m-list", "0"]], ids=["p-below-1", "m-zero"]
     )
@@ -480,14 +491,15 @@ class TestMzCommand:
         assert not out.exists()
 
     def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, quadrature_workers):
-        args = ["mz", "--p-list", "1.5", "--m-list", "4", "--trials", "20", "--out", str(tmp_path / "out")]
+        args = ["mz", "--p-list", "1.5", "--m-list", "64", "--trials", "200", "--out", str(tmp_path / "out")]
         outputs = []
         for workers in (1, 2):
             quadrature_workers(workers)
             assert run(args) == 0
             outputs.append([read(tmp_path / "out" / name) for name in ("results.csv", "report.json")])
             shutil.rmtree(tmp_path / "out")
-        # At 2 workers the capped levels of the 20 rows split into blocks.
+        # At 2 workers the screening ladder's last doubling, to 8,192 points,
+        # splits the 200 rows into blocks.
         assert widthlab.norms._pool is not None
         assert outputs[0] == outputs[1]
 

@@ -127,7 +127,9 @@ class TestQuadrature:
         with quadrature_workers(2, 2**9):
             pooled = _quadrature_lp(coeffs, p)
             assert norms._pool is not None
-        assert np.array_equal(pooled, serial)
+        # The norms, the final grid and the last changes.
+        for a, b in zip(pooled, serial):
+            assert np.array_equal(a, b)
 
     # p = 1.5 runs the ladder to the cap; p = 2^10 transforms one exact grid
     # at the cap.
@@ -198,7 +200,9 @@ class TestQuadrature:
     def _doubling_ladder(coeffs, p):
         """The ladder that synthesizes every point of each doubled grid afresh."""
         m = (coeffs.shape[-1] - 1) // 2
-        n_grid = max(256, 4 * (m + 1))
+        n_grid = 256
+        while n_grid < 4 * (m + 1):
+            n_grid *= 2
         prev = _grid_lp(coeffs, n_grid, p)
         while n_grid < QUADRATURE_CAP:
             n_grid *= 2
@@ -208,8 +212,9 @@ class TestQuadrature:
             prev = cur
         return prev, n_grid
 
-    # m = 64, p = 1.5: the ladder runs into the cap, and the start grid 260
-    # makes it overshoot to 66,560 points.  m = 4, p = 7: it stops below the cap.
+    # m = 64, p = 1.5: the ladder starts on 512 points, not 4(m+1) = 260, and
+    # runs into the cap at exactly 2^16 points.  m = 4, p = 7: it stops below
+    # the cap.
     @pytest.mark.parametrize("m, p", [(64, 1.5), (4, 7.0)])
     def test_non_even_p_transforms_only_midpoints(self, monkeypatch, m, p):
         coeffs = _random_unit_polys(m, 8, np.random.default_rng(5))
@@ -221,12 +226,13 @@ class TestQuadrature:
             return synthesize_rows(coeffs, n_grid, shift)
 
         monkeypatch.setattr(norms, "synthesize_rows", recording)
-        norms_nested = _quadrature_lp(coeffs, p)
-        start = max(256, 4 * (m + 1))
+        norms_nested, grid, _ = _quadrature_lp(coeffs, p)
+        start = 512 if m == 64 else 256
         # The start grid, then the midpoints of each grid in turn.
         levels = [start * 2**k for k in range(len(calls) - 1)]
         assert calls == [(start, 0.0)] + [(n, 0.5) for n in levels]
-        assert 2 * calls[-1][0] == final_grid
+        assert 2 * calls[-1][0] == grid == final_grid
+        assert grid == QUADRATURE_CAP or m == 4
         assert np.allclose(norms_nested, expected, rtol=1e-15, atol=0)
 
 
@@ -363,7 +369,7 @@ class TestLqSolver:
 class TestMzRatioStats:
     def test_p2_ratios_concentrate(self):
         for m in (4, 16):
-            lo, hi = mz_ratio_stats(m, 2.0, 50, seed=0)
+            lo, hi, _ = mz_ratio_stats(m, 2.0, 50, seed=0)
             assert hi / lo == pytest.approx(1.0, abs=1e-6)
 
     @settings(max_examples=40, deadline=None)
@@ -372,7 +378,7 @@ class TestMzRatioStats:
         # At p = 2 both norms follow from Parseval: the 2m+1 samples of a
         # degree-m polynomial give (2m+1)/(2pi) times its squared L_2 norm.
         exact = math.sqrt((2 * m + 1) / (2 * math.pi * m))
-        lo, hi = mz_ratio_stats(m, 2.0, trials, seed)
+        lo, hi, _ = mz_ratio_stats(m, 2.0, trials, seed)
         assert abs(lo - exact) <= 2e-15 * exact
         assert abs(hi - exact) <= 2e-15 * exact
 
@@ -395,13 +401,71 @@ class TestMzRatioStats:
             t = TrigPoly(c[0], c[1 : m + 1], c[m + 1 :])
             discrete = m ** (-1 / p) * np.sum(np.abs(eval_poly(t, points)) ** p) ** (1 / p)
             ratios.append(discrete / lp_norm(synthesize(t, 1024), p))
-        lo, hi = mz_ratio_stats(m, p, trials, seed)
+        lo, hi, _ = mz_ratio_stats(m, p, trials, seed)
         assert lo == pytest.approx(min(ratios), rel=1e-12)
         assert hi == pytest.approx(max(ratios), rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        m=st.integers(1, 64),
+        p=st.floats(1.1, 8.0).filter(lambda p: p % 2 != 0),
+        trials=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=16, p=1.5, trials=60, seed=1)
+    @example(m=64, p=3.0, trials=60, seed=2)
+    def test_screened_extremes_match_refining_every_row(self, m, p, trials, seed):
+        coeffs = _random_unit_polys(m, trials, np.random.default_rng(seed))
+        discrete = m ** (-1.0 / p) * _power_sums(coeffs, 2 * m + 1, p) ** (1.0 / p)
+        ratios = discrete / _quadrature_lp(coeffs, p)[0]
+        lo, hi, _ = mz_ratio_stats(m, p, trials, seed)
+        # The same rows as the all-rows ladder, within 1e-9 relative.
+        assert np.argmin(np.abs(ratios - lo)) == np.argmin(ratios)
+        assert np.argmin(np.abs(ratios - hi)) == np.argmax(ratios)
+        assert abs(lo - ratios.min()) <= 1e-9 * ratios.min()
+        assert abs(hi - ratios.max()) <= 1e-9 * ratios.max()
+
+    def test_only_candidate_rows_pass_the_screening_level(self, monkeypatch):
+        calls = []
+        power_sums = norms._power_sums
+
+        def recording(coeffs, n_grid, p, shift=0.0):
+            calls.append((len(coeffs), n_grid))
+            return power_sums(coeffs, n_grid, p, shift)
+
+        monkeypatch.setattr(norms, "_power_sums", recording)
+        mz_ratio_stats(16, 1.5, 200, seed=1)
+        # The screening ladder's levels carry all 200 rows; every level above
+        # them carries the same few candidate rows, and no fallback runs.
+        screen = max(n_grid for rows, n_grid in calls if rows == 200)
+        above = {rows for rows, n_grid in calls if n_grid > screen}
+        assert len(above) == 1 and above.pop() <= 6
+
+    def test_a_refined_ratio_outside_its_band_refines_every_row(self, monkeypatch):
+        m, p, trials, seed = 16, 1.5, 50, 2
+        coeffs = _random_unit_polys(m, trials, np.random.default_rng(seed))
+        discrete = m ** (-1.0 / p) * _power_sums(coeffs, 2 * m + 1, p) ** (1.0 / p)
+        every_row, grid, change = _quadrature_lp(coeffs, p)
+        ratios = discrete / every_row
+        sizes = []
+        quadrature_lp = norms._quadrature_lp
+
+        def recording(coeffs, p, *tol):
+            sizes.append(len(coeffs))
+            return quadrature_lp(coeffs, p, *tol)
+
+        monkeypatch.setattr(norms, "_quadrature_lp", recording)
+        # Zero-width bands: every refined ratio lands outside its own.
+        monkeypatch.setattr(norms, "MZ_BAND", 0.0)
+        lo, hi, quadrature = mz_ratio_stats(m, p, trials, seed)
+        assert sizes == [trials, 2, trials]
+        assert (lo, hi) == (ratios.min(), ratios.max())
+        converged = bool(np.all(change <= norms.QUADRATURE_TOL * every_row))
+        assert quadrature == {"grid": grid, "converged": converged}
 
     def test_p3_spread_bounded_across_degrees(self):
         spreads = []
         for m in (4, 64):
-            lo, hi = mz_ratio_stats(m, 3.0, 100, seed=1)
+            lo, hi, _ = mz_ratio_stats(m, 3.0, 100, seed=1)
             spreads.append(hi / lo)
         assert max(spreads) / min(spreads) <= 10.0

@@ -296,6 +296,43 @@ class TestDualInnerSup:
         slopes = np.sum((grads @ frame) * tangents, axis=1)
         np.testing.assert_allclose((up - down) / (2 * h), slopes, rtol=1e-5, atol=1e-7)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, widths.DESK_SCALE_MAX_DIM),
+        p_dual=st.floats(1.01, 16.0),
+        q_dual=st.floats(1.01, 16.0),
+    )
+    def test_one_column_ascent_accepts_no_step(self, seed, m, p_dual, q_dual):
+        # Every start of a one-column frame normalizes to +-1 exactly, so the
+        # ascent ends where it starts.
+        rng = np.random.default_rng(seed)
+        frame = widths._orthonormalize(rng.standard_normal((m, 1)))
+        starts = widths._dual_starts(frame, rng.standard_normal((8, 1)))
+        value, (grad, z) = widths._dual_sup(frame, p_dual, q_dual, starts, 0)
+        for steps in (widths.ASCENT_STEPS, widths.FINAL_ASCENT_STEPS):
+            ascended, (ascended_grad, ascended_z) = widths._dual_sup(frame, p_dual, q_dual, starts, steps)
+            assert ascended == value
+            assert np.array_equal(ascended_grad, grad) and np.array_equal(ascended_z, z)
+
+    @pytest.mark.parametrize("p, q", [(1.5, 3.0), (1.2, 4.0), (2.0, 3.0)])
+    def test_one_column_complement_skips_the_ascent(self, p, q):
+        inst = BallWidthInstance(5, 4, p, q)
+        skipped = ball_width_bruteforce(inst, seed=1, **SWEEP)
+        steps = []
+        real = widths._dual_sup
+
+        def with_ascent(frame, p_dual, q_dual, z, n_steps):
+            steps.append(n_steps)
+            return real(frame, p_dual, q_dual, z, widths.FINAL_ASCENT_STEPS)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(widths, "_dual_sup", with_ascent)
+            ascended = ball_width_bruteforce(inst, seed=1, **SWEEP)
+        assert steps and set(steps) == {0}
+        assert (skipped.value, skipped.diagnostics["stops"]) == (ascended.value, ascended.diagnostics["stops"])
+        assert np.array_equal(skipped.diagnostics["frame"], ascended.diagnostics["frame"])
+
     def test_q_below_p_reaches_the_exact_width(self):
         # Exact: (m - n)^(1/q - 1/p) (Pietsch, Stesin).
         for seed in (1, 2, 3):
