@@ -1,23 +1,15 @@
 """Worst-case approximation of convolution classes by trigonometric
-polynomials, and the projection -> sampling -> finite-ball-width chain that
-produces the logarithmic lower bound.
+polynomials: exact at p = q = 2, else a lower estimate by a harmonic scan.
 """
 
-import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimensionError, InvalidExponentError, OutOfBranchError, TruncationExceededError
+from .errors import InvalidDimensionError, InvalidExponentError, TruncationExceededError
 from .fourier import _multiplier_rows, convolution_constant, default_grid_size, synthesize_rows
 # best_approx is also looked up as classes.best_approx.
 from .norms import best_approx, best_approx_rows, poly_lp_norms  # noqa: F401
-from .widths import BallWidthInstance, phi_gluskin
-
-logger = logging.getLogger(__name__)
-
-M_CAP = 10**6
 
 
 def _check_degree(n):
@@ -77,47 +69,3 @@ def en_lower_search(kernel, p, q, n):
     if errors[i] > 0.0:
         return SearchReport(float(errors[i]), len(ks), "harmonic", int(ks[i]))
     return SearchReport(0.0, len(ks), "none")
-
-
-@dataclass(frozen=True)
-class PipelineReport:
-    n: int
-    m_chosen: int
-    log_factor: float
-    phi_value: float
-    lower_bound: float
-    notes: str = ""
-
-
-def lower_bound_pipeline(gamma, p, q, n, m_override=None):
-    """Logarithmic lower bound via projection, sampling and the finite width.
-
-    Chooses m = ceil(n^{q/2}) unless overridden, then multiplies the sampling
-    log factor (ln m)^{-gamma} by the closed-form finite-ball width order.
-    """
-    in_branch_one = 2.0 <= p <= q < np.inf
-    in_branch_two = 1.0 < p < 2.0 <= q < np.inf
-    if not (in_branch_one or in_branch_two):
-        raise OutOfBranchError(f"(p, q) = ({p}, {q}) outside both proof branches")
-    if n < 2:
-        raise OutOfBranchError("pipeline needs n >= 2")
-    notes = []
-    if m_override is not None:
-        m = int(m_override)
-    else:
-        # q = 2 would give m = n; the width step needs m > n.
-        m = max(math.ceil(n ** (q / 2.0)), n + 1)
-        if m > M_CAP:
-            m = M_CAP
-            notes.append(f"m capped at {M_CAP}")
-            logger.warning("pipeline m capped at %d for n=%d, q=%g", M_CAP, n, q)
-    log_factor = math.log(m) ** (-gamma)
-    phi_value = phi_gluskin(BallWidthInstance(m, n, p, q))
-    return PipelineReport(
-        n=n,
-        m_chosen=m,
-        log_factor=log_factor,
-        phi_value=phi_value,
-        lower_bound=log_factor * phi_value,
-        notes="; ".join(notes),
-    )

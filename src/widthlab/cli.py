@@ -13,19 +13,12 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .classes import en_exact_l2, en_lower_search, lower_bound_pipeline
 from .errors import ConfigError, NonconvergenceError, WidthlabError
-from .fourier import Exponential, MultiplierKernel, PolyLog, Polynomial
-from .norms import mz_ratio_stats
-from .rates import catalog_record, catalog_records, fit_rate
-from .svg import render_plot
-from .widths import BallWidthInstance, ball_width_bruteforce, coordinate_subspace_bound, phi_gluskin
 
 logger = logging.getLogger(__name__)
 
@@ -90,9 +83,9 @@ def fmt(x):
 
 
 # List keys whose entries are degrees or dimensions, and the largest entry
-# numpy can size an array by.
+# numpy can size an array by (its intp is a Py_ssize_t).
 INTEGER_LISTS = ("n_list", "m_list")
-MAX_LIST_ENTRY = int(np.iinfo(np.intp).max)
+MAX_LIST_ENTRY = sys.maxsize
 
 
 def _coerce(key, value, typ):
@@ -142,8 +135,9 @@ def _require(config, *keys):
 
 
 def _kernel_from_config(config):
+    from .fourier import Exponential, MultiplierKernel, PolyLog, Polynomial
     for key in ("r", "mu", "gamma", "rho"):
-        if config[key] is not None and not np.isfinite(config[key]):
+        if config[key] is not None and not math.isfinite(config[key]):
             raise ConfigError(f"{key!r} must be finite, got {config[key]!r}")
     if config["truncation"] < 1:
         raise ConfigError(f"'truncation' must be >= 1, got {config['truncation']}")
@@ -165,6 +159,7 @@ def _kernel_from_config(config):
 
 def run_approx(config):
     """Error E_n of a kernel class: exact at p = q = 2, else a harmonic-scan lower estimate."""
+    from .classes import en_exact_l2, en_lower_search
     _require(config, "n_list")
     kernel = _kernel_from_config(config)
     p, q = config["p"], config["q"]
@@ -192,6 +187,7 @@ def run_approx(config):
 
 def run_widths(config):
     """Widths of l_p balls in l_q: exact at n = 0, n = m and q <= p, else a brute-force upper bound."""
+    from .rates import BallWidthInstance, closed_form_width, coordinate_subspace_bound, phi_gluskin
     _require(config, "m", "n_list")
     m, p, q = config["m"], config["p"], config["q"]
     n_list = [int(n) for n in config["n_list"]]
@@ -200,14 +196,17 @@ def run_widths(config):
 
     def one(n):
         inst = BallWidthInstance(m, n, p, q)
-        est = ball_width_bruteforce(
-            inst,
-            restarts=config["restarts"],
-            seed=config["seed"],
-            inner_starts=config["inner_starts"],
-            final_starts=config["final_starts"],
-            max_iter=config["max_iter"],
-        )
+        est = closed_form_width(inst)
+        if est is None:
+            from .widths import ball_width_bruteforce
+            est = ball_width_bruteforce(
+                inst,
+                restarts=config["restarts"],
+                seed=config["seed"],
+                inner_starts=config["inner_starts"],
+                final_starts=config["final_starts"],
+                max_iter=config["max_iter"],
+            )
         try:
             phi = phi_gluskin(inst)
         except WidthlabError:
@@ -236,6 +235,7 @@ def run_widths(config):
 
 def run_pipeline(config):
     """Logarithmic lower bound of the polylog class by projection, sampling and the finite width."""
+    from .rates import lower_bound_pipeline
     _require(config, "n_list")
     n_list = [int(n) for n in config["n_list"]]
 
@@ -258,6 +258,7 @@ def run_pipeline(config):
 
 def run_catalog(config):
     """Catalog width and error rates and the optimality verdict of a family at (p, q)."""
+    from .rates import catalog_record, catalog_records
     if config["all"]:
         records = catalog_records()
     else:
@@ -285,6 +286,7 @@ def run_catalog(config):
 
 def run_fit(config):
     """Classify an (n, value) series over its finite n range; it can mislabel, e.g. an exact power law in n + 1."""
+    from .rates import fit_rate
     _require(config, "input")
     with open(config["input"], newline="") as fh:
         try:
@@ -312,6 +314,8 @@ def run_fit(config):
 
 def run_mz(config):
     """Marcinkiewicz-Zygmund sampling ratios: their min and max per (p, m)."""
+    import numpy as np
+    from .norms import mz_ratio_stats
     _require(config, "p_list", "m_list")
     cells = [(float(p), int(m)) for p in config["p_list"] for m in config["m_list"]]
     seeds = np.random.SeedSequence(config["seed"]).spawn(len(cells))
@@ -373,6 +377,7 @@ def write_outputs(out_dir, subcommand, config, rows, header, report, series):
         json.dump(report_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if config.get("plot") and series:
+        from .svg import render_plot
         try:
             doc = render_plot(series, title=subcommand)
             with open(os.path.join(out_dir, "plot.svg"), "w") as fh:

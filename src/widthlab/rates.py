@@ -1,18 +1,22 @@
-"""Asymptotic rate tables for convolution classes, optimality verdicts, and
-log-space fitting of measured sequences to the three rate families.
+"""The lab's closed forms, and log-space fitting of measured sequences.
 
-Families: "sobolev" (coefficients k^-r), "exponential" (exp(-mu k^r); r >= 1
-is the analytic/entire regime), and "polylog" (the slow-decay family
-k^{-(1/p-1/q)_+} ln(k+1)^{-gamma}).
+Rate tables and optimality verdicts of three families: "sobolev"
+(coefficients k^-r), "exponential" (exp(-mu k^r); r >= 1 is the
+analytic/entire regime) and "polylog" (k^{-(1/p-1/q)_+} ln(k+1)^{-gamma}).
+Widths of l_p balls in l_q where they have a closed form, and the
+logarithmic lower bound built on them.  Only the fit and RateModel's
+evaluation use numpy, and they import it themselves.
 """
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
+from .errors import DegenerateDataError, DimensionGuardError, InvalidDimensionError, InvalidExponentError
+from .errors import OutOfBranchError, UncoveredRegimeError
 
-from .errors import DegenerateDataError, InvalidExponentError, UncoveredRegimeError
+logger = logging.getLogger(__name__)
 
 FIT_MIN_POINTS = 6
 FIT_MIN_N = 8
@@ -34,6 +38,7 @@ class RateModel:
     b: float = 0.0
 
     def __call__(self, n):
+        import numpy as np
         n = np.asarray(n, dtype=float)
         if self.kind == "poly":
             return self.c * n ** (-self.a)
@@ -77,7 +82,7 @@ class RegimeVerdict:
 
 
 def _check_pq(p, q):
-    if not (1.0 < p < np.inf and 1.0 < q < np.inf):
+    if not (1.0 < p < math.inf and 1.0 < q < math.inf):
         raise InvalidExponentError(f"need 1 < p, q < inf, got ({p}, {q})")
 
 
@@ -256,13 +261,145 @@ def catalog_records():
     return records
 
 
+DESK_SCALE_MAX_DIM = 8
+
+
+@dataclass(frozen=True)
+class BallWidthInstance:
+    """Width of B_p^m in l_q^m approximated by n-dimensional subspaces."""
+
+    m: int
+    n: int
+    p: float
+    q: float
+
+    def __post_init__(self):
+        if not 0 <= self.n <= self.m:
+            raise InvalidDimensionError(f"need 0 <= n <= m, got n={self.n}, m={self.m}")
+        if self.p < 1 or self.q < 1:
+            raise InvalidExponentError("exponents must be >= 1")
+
+
+@dataclass(frozen=True)
+class WidthEstimate:
+    value: float
+    direction: str  # 'upper-bound' or 'two-sided' (exact)
+    method: str
+    diagnostics: dict = field(default_factory=dict)
+
+
+def phi_gluskin(inst):
+    """Closed-form order of the width of B_p^m in l_q^m (two branches).
+
+    Branch one covers 2 <= p <= q <= inf (p = q included; the exponent
+    degenerates to 0 there and the value is 1), branch two covers
+    1 <= p < 2 <= q <= inf.  Requires m > n; n = 0 clamps the min to 1.
+    """
+    m, n, p, q = inst.m, inst.n, inst.p, inst.q
+    if m <= n:
+        raise OutOfBranchError(f"need m > n, got m={m}, n={n}")
+    inv_q = 0.0 if math.isinf(q) else 1.0 / q
+    clamp = 1.0 if n == 0 else min(1.0, m**inv_q / math.sqrt(n))
+    if 2.0 <= p <= q:
+        if p == q:
+            return 1.0
+        exponent = (1.0 / p - inv_q) / (0.5 - inv_q)
+        return clamp**exponent
+    if 1.0 <= p < 2.0 <= q:
+        return max(m ** (inv_q - 1.0 / p), clamp * math.sqrt(1.0 - n / m))
+    raise OutOfBranchError(f"(p, q) = ({p}, {q}) outside both branches")
+
+
+def coordinate_subspace_bound(inst):
+    """Worst l_q distance from B_p^m to the span of the first n coordinates."""
+    m, n, p, q = inst.m, inst.n, inst.p, inst.q
+    if n == m:
+        return 0.0
+    if q < p:
+        return float((m - n) ** (1.0 / q - 1.0 / p))
+    return 1.0
+
+
+def closed_form_width(inst):
+    """The exact width of a cell the brute force needs no descent for, else None.
+
+    Checks in order: m within DESK_SCALE_MAX_DIM, finite exponents, then
+    n = 0, n = m or q <= p, where the coordinate subspace is optimal (Pietsch
+    1974, Stesin 1975; Pinkus, n-Widths in Approximation Theory, 1985,
+    ch. VI) and the width is coordinate_subspace_bound, labelled 'two-sided'
+    with no restarts.
+    """
+    m, n, p, q = inst.m, inst.n, inst.p, inst.q
+    if m > DESK_SCALE_MAX_DIM:
+        raise DimensionGuardError(f"m={m} above desk-scale cap {DESK_SCALE_MAX_DIM}")
+    if not (1.0 <= p < math.inf and 1.0 <= q < math.inf):
+        raise InvalidExponentError("brute force needs finite exponents")
+    if n in (0, m) or q <= p:
+        return WidthEstimate(coordinate_subspace_bound(inst), "two-sided", "closed-form", {"restarts": 0})
+    return None
+
+
+M_CAP = 10**6
+
+
+@dataclass(frozen=True)
+class PipelineReport:
+    n: int
+    m_chosen: int
+    log_factor: float
+    phi_value: float
+    lower_bound: float
+    notes: str = ""
+
+
+def lower_bound_pipeline(gamma, p, q, n, m_override=None):
+    """Logarithmic lower bound via projection, sampling and the finite width.
+
+    Chooses m = ceil(n^{q/2}) unless overridden, then multiplies the sampling
+    log factor (ln m)^{-gamma} by the closed-form finite-ball width order.
+    Needs a finite gamma >= 0 and m > n.
+    """
+    in_branch_one = 2.0 <= p <= q < math.inf
+    in_branch_two = 1.0 < p < 2.0 <= q < math.inf
+    if not (in_branch_one or in_branch_two):
+        raise OutOfBranchError(f"(p, q) = ({p}, {q}) outside both proof branches")
+    if n < 2:
+        raise OutOfBranchError("pipeline needs n >= 2")
+    if not 0.0 <= gamma < math.inf:
+        raise InvalidExponentError(f"pipeline needs a finite gamma >= 0, got gamma={gamma}")
+    notes = []
+    if m_override is not None:
+        m = int(m_override)
+    else:
+        # q = 2 would give m = n; the width step needs m > n.
+        m = max(math.ceil(n ** (q / 2.0)), n + 1)
+        if m > M_CAP:
+            m = M_CAP
+            notes.append(f"m capped at {M_CAP}")
+            logger.warning("pipeline m capped at %d for n=%d, q=%g", M_CAP, n, q)
+    if m <= n:
+        raise OutOfBranchError(f"pipeline needs m > n, got m={m}, n={n}")
+    log_factor = math.log(m) ** (-gamma)
+    phi_value = phi_gluskin(BallWidthInstance(m, n, p, q))
+    return PipelineReport(
+        n=n,
+        m_chosen=m,
+        log_factor=log_factor,
+        phi_value=phi_value,
+        lower_bound=log_factor * phi_value,
+        notes="; ".join(notes),
+    )
+
+
 def _lstsq(design, target):
+    import numpy as np
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = target - design @ coef
     return coef, float(np.sqrt(np.mean(resid**2)))
 
 
 def _fit_exp_at_r(r, n, logv):
+    import numpy as np
     design = np.column_stack([np.ones_like(n), -(n**r), np.log(n)])
     return _lstsq(design, logv)
 
@@ -292,6 +429,7 @@ def fit_rate(points):
     ties: a richer family is chosen only when it beats the simpler one's
     residual by a factor of 10.
     """
+    import numpy as np
     pts = np.asarray(sorted(points), dtype=float).reshape(-1, 2)
     if len(pts) < FIT_MIN_POINTS:
         raise DegenerateDataError(f"need at least {FIT_MIN_POINTS} points, got {len(pts)}")

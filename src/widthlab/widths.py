@@ -1,5 +1,5 @@
-"""Kolmogorov widths of l_p balls in l_q: the two-branch closed-form order
-estimate and a desk-scale brute-force optimizer over subspaces.
+"""Kolmogorov widths of l_p balls in l_q: a desk-scale brute-force optimizer
+over subspaces.  The closed forms live in rates.
 
 The brute-force path runs multi-restart descent over n-dimensional subspaces
 V of R^m on the worst-case distance sup_{x in B_p} dist_q(x, V).
@@ -17,91 +17,24 @@ V of R^m on the worst-case distance sup_{x in B_p} dist_q(x, V).
   and the inner supremum is a ratio of two norms over span W, maximized by
   projected gradient ascent from the rows of W and random directions.
 
-n = 0, n = m and every q <= p are closed forms: there the coordinate
-subspace is optimal and the width is coordinate_subspace_bound,
-(m - n)^(1/q - 1/p) (Pietsch 1974, Stesin 1975; Pinkus, 1985, ch. VI).  So
-the dual path only sees 1 < p < q < inf, where both dual exponents are
+n = 0, n = m and every q <= p are closed forms (rates.closed_form_width),
+so the dual path only sees 1 < p < q < inf, where both dual exponents are
 finite.  Otherwise the coordinate subspace is restart 0, scored by that
 closed form, so the result never exceeds it.  An ascent can only
 underestimate a supremum, so a descended value is a proven upper bound where
 the inner problem is solved exactly: p = 1 or m - n = 1.
 """
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import (
-    DimensionGuardError,
-    InvalidDimensionError,
-    InvalidExponentError,
-    NonconvergenceError,
-    OutOfBranchError,
-)
+from .errors import NonconvergenceError
 from .norms import _lq_regress
+from .rates import WidthEstimate, closed_form_width, coordinate_subspace_bound
 
-DESK_SCALE_MAX_DIM = 8
 # Projected-ascent steps of the dual inner maximization, during the descent
 # and in each restart's final evaluation.
 ASCENT_STEPS = 40
 FINAL_ASCENT_STEPS = 80
-
-
-@dataclass(frozen=True)
-class BallWidthInstance:
-    """Width of B_p^m in l_q^m approximated by n-dimensional subspaces."""
-
-    m: int
-    n: int
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not 0 <= self.n <= self.m:
-            raise InvalidDimensionError(f"need 0 <= n <= m, got n={self.n}, m={self.m}")
-        if self.p < 1 or self.q < 1:
-            raise InvalidExponentError("exponents must be >= 1")
-
-
-@dataclass(frozen=True)
-class WidthEstimate:
-    value: float
-    direction: str  # 'upper-bound' or 'two-sided' (exact)
-    method: str
-    diagnostics: dict = field(default_factory=dict)
-
-
-def phi_gluskin(inst):
-    """Closed-form order of the width of B_p^m in l_q^m (two branches).
-
-    Branch one covers 2 <= p <= q <= inf (p = q included; the exponent
-    degenerates to 0 there and the value is 1), branch two covers
-    1 <= p < 2 <= q <= inf.  Requires m > n; n = 0 clamps the min to 1.
-    """
-    m, n, p, q = inst.m, inst.n, inst.p, inst.q
-    if m <= n:
-        raise OutOfBranchError(f"need m > n, got m={m}, n={n}")
-    inv_q = 0.0 if math.isinf(q) else 1.0 / q
-    clamp = 1.0 if n == 0 else min(1.0, m**inv_q / math.sqrt(n))
-    if 2.0 <= p <= q:
-        if p == q:
-            return 1.0
-        exponent = (1.0 / p - inv_q) / (0.5 - inv_q)
-        return clamp**exponent
-    if 1.0 <= p < 2.0 <= q:
-        return max(m ** (inv_q - 1.0 / p), clamp * math.sqrt(1.0 - n / m))
-    raise OutOfBranchError(f"(p, q) = ({p}, {q}) outside both branches")
-
-
-def coordinate_subspace_bound(inst):
-    """Worst l_q distance from B_p^m to the span of the first n coordinates."""
-    m, n, p, q = inst.m, inst.n, inst.p, inst.q
-    if n == m:
-        return 0.0
-    if q < p:
-        return float((m - n) ** (1.0 / q - 1.0 / p))
-    return 1.0
 
 
 def _vertex_sup(frame, q):
@@ -205,10 +138,9 @@ def ball_width_bruteforce(
 ):
     """Direct minimization of the worst-case l_q distance over n-subspaces.
 
-    n = 0, n = m and q <= p return the exact width coordinate_subspace_bound,
-    (m - n)^(1/q - 1/p) (Pietsch, Stesin), labelled 'two-sided' with no
-    restarts.  Otherwise (p < q) returns an upper-bound estimate
-    (it exhibits a concrete subspace).  Restart 0 is the coordinate subspace,
+    n = 0, n = m and q <= p return rates.closed_form_width, the exact
+    (m - n)^(1/q - 1/p) labelled 'two-sided' with no restarts.  Otherwise
+    (p < q) returns an upper-bound estimate (it exhibits a concrete subspace).  Restart 0 is the coordinate subspace,
     scored by its closed-form value with stop 'stationary', so the value
     never lands above the coordinate-subspace bound and restarts=1 runs no
     descent.  Restarts 1.. descend from random frames; for p > 1 on a frame
@@ -219,15 +151,10 @@ def ball_width_bruteforce(
     is converged when some restart is stationary.  diagnostics['frame'] is
     an orthonormal m x n frame of the best subspace.
     """
+    exact = closed_form_width(inst)
+    if exact is not None:
+        return exact
     m, n, p, q = inst.m, inst.n, inst.p, inst.q
-    if m > DESK_SCALE_MAX_DIM:
-        raise DimensionGuardError(f"m={m} above desk-scale cap {DESK_SCALE_MAX_DIM}")
-    if not (1.0 <= p < np.inf and 1.0 <= q < np.inf):
-        raise InvalidExponentError("brute force needs finite exponents")
-
-    if n in (0, m) or q <= p:
-        return WidthEstimate(coordinate_subspace_bound(inst), "two-sided", "closed-form", {"restarts": 0})
-
     # p = 1 descends on a frame of the subspace itself, p > 1 on a frame of
     # its complement, with the finite Hoelder conjugates of 1 < p < q.
     dual = p > 1.0

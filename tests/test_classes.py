@@ -20,7 +20,7 @@ from widthlab import (
     synthesize,
 )
 from widthlab import norms
-from widthlab.classes import M_CAP
+from widthlab.rates import M_CAP
 from widthlab.fourier import Exponential, Polynomial, analyze, apply_multiplier, default_grid_size
 from widthlab.norms import lp_norm, poly_lp_norm
 

@@ -1,18 +1,23 @@
 import csv
+import importlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import widthlab
-from widthlab import cli
+from widthlab import cli, widths
 from widthlab.cli import build_config, main
 from widthlab.errors import ConfigError, NonconvergenceError, OutOfBranchError
+from widthlab.rates import BallWidthInstance, coordinate_subspace_bound, phi_gluskin
 
 
 def read(path):
@@ -158,10 +163,48 @@ def write_series(path, pairs):
 
 
 class TestImportGraph:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        proc = run_fresh("import sys, widthlab.cli; print('scipy' in sys.modules)")
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
+        """In one new interpreter: the closed-form runs leave numpy unloaded,
+        the runs that need it still succeed, and nothing loads scipy."""
+        data = tmp_path / "data.csv"
+        write_series(data, [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128, 256, 512)])
+        numpy_free = [
+            ["--version"],
+            ["--help"],
+            ["catalog", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3"],
+            ["catalog", "--all"],
+            ["pipeline", "--gamma", "1", "--p", "1.5", "--q", "3", "--n-list", "8", "12"],
+            ["widths", "--m", "5", "--n-list", "0", "5", "--p", "1.5", "--q", "3"],
+            ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "1.5"],
+            ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "3"],
+        ]
+        with_numpy = [
+            ["widths", "--m", "4", "--n-list", "2", "--p", "1.5", "--q", "3", "--restarts", "2"],
+            ["mz", "--m-list", "4", "--p-list", "1.5", "--trials", "5"],
+            ["approx", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3", "--n-list", "8"],
+            ["fit", "--input", str(data)],
+        ]
+        runs = [args if args[0].startswith("--") else args + ["--out", str(tmp_path / str(i))]
+                for i, args in enumerate(numpy_free + with_numpy)]
+        proc = run_fresh(
+            "import contextlib, io, sys\n"
+            "import widthlab\n"
+            "print('import', 'numpy' in sys.modules)\n"
+            "from widthlab.cli import main\n"
+            f"for args in {runs!r}:\n"
+            "    try:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            code = main(args)\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "    print(args[0], code, 'numpy' in sys.modules)\n"
+            "print('scipy', 'scipy' in sys.modules)"
+        )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        expected = ["import False"]
+        expected += [f"{args[0]} 0 False" for args in numpy_free]
+        expected += [f"{args[0]} 0 True" for args in with_numpy]
+        assert proc.stdout.splitlines() == expected + ["scipy False"]
 
     def test_import_and_quadrature_free_commands_start_no_thread(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -194,6 +237,55 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(read(out / "report.json"))["report"]["model"]["kind"] == "poly"
+
+
+# The eager namespace of widthlab before its names were made lazy, by the
+# module each name is defined in.
+NAMESPACE = {
+    "classes": ["SearchReport", "en_exact_l2", "en_lower_search"],
+    "errors": [
+        "ConfigError", "DegenerateDataError", "DimensionGuardError", "GridTooCoarseError",
+        "InvalidDimensionError", "InvalidExponentError", "NonconvergenceError", "OutOfBranchError",
+        "TruncationExceededError", "UncoveredRegimeError", "WidthlabError",
+    ],
+    "fourier": [
+        "Exponential", "GridFunction", "MultiplierKernel", "PolyLog", "Polynomial", "Table", "TrigPoly",
+        "analyze", "apply_multiplier", "convolution_constant", "default_grid_size", "eval_poly", "synthesize",
+    ],
+    "norms": ["best_approx", "lp_norm", "mz_ratio_stats", "poly_lp_norm"],
+    "rates": [
+        "BallWidthInstance", "PipelineReport", "RateModel", "RegimeVerdict", "WidthEstimate",
+        "catalog_record", "catalog_records", "coordinate_subspace_bound", "en_rate", "fit_rate",
+        "lower_bound_pipeline", "optimality_verdict", "phi_gluskin", "width_rate",
+    ],
+    "widths": ["ball_width_bruteforce"],
+}
+
+
+class TestLazyNamespace:
+    @pytest.mark.parametrize("home, name", [(home, name) for home, names in NAMESPACE.items() for name in names])
+    def test_name_resolves_to_its_home_object(self, home, name):
+        module = importlib.import_module(f"widthlab.{home}")
+        assert getattr(widthlab, name) is getattr(module, name)
+        assert getattr(module, name).__module__ == module.__name__
+
+    def test_exports_and_version(self):
+        assert sorted(widthlab.__all__) == sorted(name for names in NAMESPACE.values() for name in names)
+        assert widthlab.__version__ == "0.1.0"
+
+    def test_submodule_resolves_before_any_import_of_it(self):
+        proc = run_fresh(
+            "import sys, widthlab\n"
+            "print('widthlab.norms' in sys.modules)\n"
+            "print(widthlab.norms is sys.modules['widthlab.norms'])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            widthlab.no_such_name
+        assert not hasattr(widthlab, "M_CAP")
 
 
 class TestPipelineCommand:
@@ -247,6 +339,25 @@ class TestPipelineCommand:
             ["pipeline", "--p", "3.0", "--q", "2.0", "--n-list", "16", "--out", str(tmp_path)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--gamma", "1", "--m-override", "0"], "needs m > n, got m=0"),
+            (["--gamma", "1", "--m-override", "1"], "needs m > n, got m=1"),
+            (["--gamma", "nan"], "finite gamma >= 0"),
+            (["--gamma", "-1"], "finite gamma >= 0"),
+        ],
+        ids=["m-zero", "m-one", "gamma-nan", "gamma-negative"],
+    )
+    def test_malformed_input_is_config_error(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        code = run(["pipeline", "--p", "1.5", "--q", "3", "--n-list", "8", *args, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_config_round_trip_from_report(self, tmp_path):
         out1 = tmp_path / "first"
@@ -570,3 +681,57 @@ class TestWidthsCommand:
             report = json.load(fh)["report"]
         assert report["directions"] == [label] * 4
         assert report["direction"] == "upper-bound"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.integers(1, 8).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+        p=st.floats(1.0, 8.0),
+        q=st.floats(1.0, 8.0),
+    )
+    def test_closed_form_cells_match_the_brute_force(self, shape, p, q):
+        """Cells with n = 0, n = m or q <= p never reach widths, and write what
+        ball_width_bruteforce gives for them."""
+        m, n = shape
+        assume(n in (0, m) or q <= p)
+        inst = BallWidthInstance(m, n, p, q)
+        est = widths.ball_width_bruteforce(inst)
+        try:
+            phi = phi_gluskin(inst)
+        except OutOfBranchError:
+            phi = float("nan")
+        expected = [[str(n), "bruteforce_width", cli.fmt(est.value)], [str(n), "phi_order", cli.fmt(phi)],
+                    [str(n), "coordinate_bound", cli.fmt(coordinate_subspace_bound(inst))]]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a closed-form cell reached the brute force")
+
+        with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(widths, "ball_width_bruteforce", unreachable)
+            args = ["widths", "--m", str(m), "--n-list", str(n), "--p", repr(p), "--q", repr(q)]
+            assert run(args + ["--out", out]) == 0
+            with open(os.path.join(out, "results.csv"), newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            with open(os.path.join(out, "report.json")) as fh:
+                report = json.load(fh)["report"]
+        assert sorted(rows) == sorted(expected)
+        assert report["directions"] == [est.direction] == ["two-sided"]
+        assert report["medians"] == [est.diagnostics.get("median")]
+        assert report["converged"] == [est.diagnostics.get("converged", True)]
+        assert report["stops"] == [est.diagnostics.get("stops", [])]
+        assert report["nonconverged"] is False
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--m", "9", "--n-list", "2", "--p", "2", "--q", "2"], "m=9 above desk-scale cap 8"),
+            (["--m", "9", "--n-list", "2", "--p", "inf", "--q", "2"], "m=9 above desk-scale cap 8"),
+            (["--m", "5", "--n-list", "2", "--p", "inf", "--q", "2"], "brute force needs finite exponents"),
+            (["--m", "5", "--n-list", "5", "--p", "2", "--q", "inf"], "brute force needs finite exponents"),
+        ],
+        ids=["guard", "guard-before-exponent", "p-inf", "q-inf-at-n-equal-m"],
+    )
+    def test_closed_form_cells_keep_the_error_order(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out"
+        assert run(["widths", *args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()

@@ -15,6 +15,7 @@ from widthlab import (
     coordinate_subspace_bound,
     norms,
     phi_gluskin,
+    rates,
     widths,
 )
 
@@ -175,7 +176,7 @@ class TestBruteForce:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        shape=st.integers(1, widths.DESK_SCALE_MAX_DIM).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+        shape=st.integers(1, rates.DESK_SCALE_MAX_DIM).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
         exponents=st.floats(1.0, 12.0).flatmap(lambda q: st.tuples(st.one_of(st.just(q), st.floats(q, 24.0)), st.just(q))),
     )
     def test_q_at_most_p_is_the_pietsch_stesin_closed_form(self, shape, exponents):
@@ -267,7 +268,7 @@ class TestDualInnerSup:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        shape=st.integers(1, widths.DESK_SCALE_MAX_DIM).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+        shape=st.integers(1, rates.DESK_SCALE_MAX_DIM).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
         p_dual=st.floats(1.01, 16.0),
         q_dual=st.floats(1.01, 16.0),
     )
@@ -299,7 +300,7 @@ class TestDualInnerSup:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        m=st.integers(1, widths.DESK_SCALE_MAX_DIM),
+        m=st.integers(1, rates.DESK_SCALE_MAX_DIM),
         p_dual=st.floats(1.01, 16.0),
         q_dual=st.floats(1.01, 16.0),
     )
