@@ -17,7 +17,7 @@ _HOMES = {
         "TruncationExceededError", "UncoveredRegimeError", "WidthlabError",
     ),
     "fourier": (
-        "Exponential", "GridFunction", "MultiplierKernel", "PolyLog", "Polynomial", "Table", "TrigPoly",
+        "Exponential", "GridFunction", "MultiplierKernel", "PolyLog", "Polynomial", "TrigPoly",
         "analyze", "apply_multiplier", "convolution_constant", "default_grid_size", "eval_poly", "synthesize",
     ),
     "norms": ("best_approx", "lp_norm", "mz_ratio_stats", "poly_lp_norm"),

@@ -30,7 +30,6 @@ SCHEMAS = {
         "r": (float, 1.0),
         "mu": (float, 1.0),
         "gamma": (float, 1.0),
-        "rho": (float, None),
         "p": (float, 2.0),
         "q": (float, 2.0),
         "n_list": (list, None),
@@ -136,18 +135,13 @@ def _require(config, *keys):
 
 def _kernel_from_config(config):
     from .fourier import Exponential, MultiplierKernel, PolyLog, Polynomial
-    for key in ("r", "mu", "gamma", "rho"):
-        if config[key] is not None and not math.isfinite(config[key]):
+    for key in ("r", "mu", "gamma"):
+        if not math.isfinite(config[key]):
             raise ConfigError(f"{key!r} must be finite, got {config[key]!r}")
-    if config["truncation"] < 1:
-        raise ConfigError(f"'truncation' must be >= 1, got {config['truncation']}")
     family = config["family"]
-    p, q = config["p"], config["q"]
     if family == "polylog":
-        rho = config["rho"]
-        if rho is None:
-            rho = max(0.0, 1.0 / p - 1.0 / q)
-        fam = PolyLog(rho, config["gamma"])
+        # rho is not a setting: the catalog's polylog rows assume (1/p - 1/q)_+.
+        fam = PolyLog(max(0.0, 1.0 / config["p"] - 1.0 / config["q"]), config["gamma"])
     elif family == "sobolev":
         fam = Polynomial(config["r"])
     elif family == "exponential":
@@ -286,6 +280,7 @@ def run_catalog(config):
 
 def run_fit(config):
     """Classify an (n, value) series over its finite n range; it can mislabel, e.g. an exact power law in n + 1."""
+    import dataclasses
     from .rates import fit_rate
     _require(config, "input")
     with open(config["input"], newline="") as fh:
@@ -296,19 +291,7 @@ def run_fit(config):
     model, residual = fit_rate(points)
     rows = [(n, "input", v) for n, v in points]
     rows += [(n, "fitted", float(model(n))) for n, _ in points]
-    report = {
-        "model": {
-            "kind": model.kind,
-            "c": model.c,
-            "a": model.a,
-            "g": model.g,
-            "mu": model.mu,
-            "r": model.r,
-            "b": model.b,
-            "describe": model.describe(),
-        },
-        "residual": residual,
-    }
+    report = {"model": {**dataclasses.asdict(model), "describe": model.describe()}, "residual": residual}
     return rows, ("n", "quantity", "value"), report, _series_from_rows(rows)
 
 

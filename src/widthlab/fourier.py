@@ -7,15 +7,11 @@ which the trapezoidal rule integrates trig polynomials of degree <= N-1
 exactly.
 """
 
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarseError, TruncationExceededError
-
-TRUNCATION_CAP = 4096
-TRUNCATION_DROP = 1e-14
+from .errors import GridTooCoarseError, InvalidDimensionError, TruncationExceededError
 
 
 def _freeze(arr):
@@ -122,46 +118,18 @@ class Exponential:
         return np.exp(-self.mu * k**self.r)
 
 
-class Table:
-    """Explicit finite coefficient table lambda_1..lambda_N."""
-
-    def __init__(self, values):
-        self.values = _freeze(values)
-
-    def lambdas(self, n):
-        if n > len(self.values):
-            out = np.zeros(n)
-            out[: len(self.values)] = self.values
-            return out
-        return self.values[:n].copy()
-
-
-Family = Union[Polynomial, PolyLog, Exponential, Table]
-
-
-def _auto_truncation(family):
-    if isinstance(family, Table):
-        return len(family.values)
-    lam = family.lambdas(TRUNCATION_CAP + 1)
-    small = np.nonzero(lam < TRUNCATION_DROP * lam[0])[0]
-    if len(small):
-        return max(int(small[0]), 1)
-    return TRUNCATION_CAP
-
-
 @dataclass(frozen=True)
 class MultiplierKernel:
-    """Coefficient decay family plus the phase shift beta*pi/2 per harmonic."""
+    """Coefficient decay family (Polynomial, PolyLog or Exponential) cut off
+    after `truncation` harmonics."""
 
-    family: Family
-    beta: float = 0.0
-    truncation: int = field(default=0)
+    family: Polynomial | PolyLog | Exponential
+    truncation: int
 
     def __post_init__(self):
-        if self.truncation <= 0:
-            object.__setattr__(self, "truncation", _auto_truncation(self.family))
-        lam = self.family.lambdas(min(self.truncation, 64))
-        if np.any(lam[: len(lam)] < 0):
+        if self.truncation < 1:
+            raise InvalidDimensionError(f"'truncation' must be >= 1, got {self.truncation}")
+        if np.any(self.family.lambdas(min(self.truncation, 64)) < 0):
             raise ValueError("multiplier coefficients must be nonnegative")
 
     def lambdas(self, n=None):
@@ -236,10 +204,8 @@ def analyze(f, m):
 
 
 def _multiplier_rows(kernel, coeffs):
-    """Multiplier action on coefficient rows (a0, a, b), constant term dropped.
-
-    Each harmonic is scaled by lambda_k and turned by theta = beta*pi/2.
-    """
+    """Multiplier action on coefficient rows (a0, a, b): each harmonic scaled
+    by lambda_k, the constant term dropped."""
     coeffs = np.asarray(coeffs, dtype=float)
     degree = (coeffs.shape[-1] - 1) // 2
     if degree > kernel.truncation:
@@ -247,26 +213,20 @@ def _multiplier_rows(kernel, coeffs):
             f"degree {degree} exceeds kernel truncation {kernel.truncation}"
         )
     lam = kernel.lambdas(degree)
-    theta = kernel.beta * np.pi / 2.0
-    c, s = np.cos(theta), np.sin(theta)
     a, b = coeffs[..., 1 : degree + 1], coeffs[..., degree + 1 :]
-    return np.concatenate(
-        (np.zeros_like(coeffs[..., :1]), lam * (a * c - b * s), lam * (a * s + b * c)), axis=-1
-    )
+    return np.concatenate((np.zeros_like(coeffs[..., :1]), lam * a, lam * b), axis=-1)
 
 
 def apply_multiplier(kernel, phi):
-    """Coefficientwise multiplier action with phase rotation theta = beta*pi/2.
-
-    The constant term is dropped (the harmonic sums start at k=1).
-    """
+    """Coefficientwise multiplier action; the constant term is dropped (the
+    harmonic sums start at k=1)."""
     return TrigPoly.from_coeffs(_multiplier_rows(kernel, phi.coeff_vector()))
 
 
 def convolution_constant():
     """Ratio of convolution coefficients to the raw multiplier action.
 
-    Convolving with cos(kx - theta) integrates cos^2 to pi over a period,
+    Convolving with cos kx integrates cos^2 to pi over a period,
     against the convolution's 1/2pi, so every coefficient comes out halved.
     """
     return 0.5

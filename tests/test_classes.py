@@ -9,7 +9,6 @@ from widthlab import (
     MultiplierKernel,
     OutOfBranchError,
     PolyLog,
-    Table,
     TrigPoly,
     TruncationExceededError,
     best_approx,
@@ -47,16 +46,16 @@ def cos_norm(r):
 
 class TestEnExactL2:
     def test_constant_sequence(self):
-        kernel = MultiplierKernel(Table(np.ones(16)))
+        kernel = MultiplierKernel(Polynomial(0.0), truncation=16)
         for n in (0, 3, 10):
             assert en_exact_l2(kernel, n) == pytest.approx(0.5)
 
     def test_exponential_tail(self):
-        kernel = MultiplierKernel(Exponential(1.0, 1.0))
+        kernel = MultiplierKernel(Exponential(1.0, 1.0), truncation=64)
         assert en_exact_l2(kernel, 3) == pytest.approx(0.5 * math.exp(-4))
 
     def test_truncation_guard(self):
-        kernel = MultiplierKernel(Table(np.ones(4)))
+        kernel = MultiplierKernel(Polynomial(0.0), truncation=4)
         with pytest.raises(TruncationExceededError):
             en_exact_l2(kernel, 4)
 
@@ -100,9 +99,8 @@ class TestEnLowerSearch:
             assert lower <= exact * (1 + 1e-9)
 
     def test_class_inside_subspace(self):
-        lam = np.zeros(12)
-        lam[:4] = 1.0
-        kernel = MultiplierKernel(Table(lam))
+        # exp(-1000 k) underflows to 0 at every k, so every image is 0.
+        kernel = MultiplierKernel(Exponential(1000.0, 1.0), truncation=12)
         search = en_lower_search(kernel, 2.0, 3.0, 4)
         assert (search.value, search.winner, search.evaluated) == (0.0, "none", 8)
 

@@ -3,6 +3,8 @@ import importlib
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -249,7 +251,7 @@ NAMESPACE = {
         "TruncationExceededError", "UncoveredRegimeError", "WidthlabError",
     ],
     "fourier": [
-        "Exponential", "GridFunction", "MultiplierKernel", "PolyLog", "Polynomial", "Table", "TrigPoly",
+        "Exponential", "GridFunction", "MultiplierKernel", "PolyLog", "Polynomial", "TrigPoly",
         "analyze", "apply_multiplier", "convolution_constant", "default_grid_size", "eval_poly", "synthesize",
     ],
     "norms": ["best_approx", "lp_norm", "mz_ratio_stats", "poly_lp_norm"],
@@ -445,8 +447,8 @@ class TestApproxCommand:
     @pytest.mark.parametrize(
         "args",
         [["--family", "exponential", "--mu", "nan"], ["--family", "sobolev", "--r", "nan"],
-         ["--family", "polylog", "--gamma", "inf"], ["--family", "polylog", "--rho", "nan"]],
-        ids=["exponential-mu-nan", "sobolev-r-nan", "polylog-gamma-inf", "polylog-rho-nan"],
+         ["--family", "polylog", "--gamma", "inf"]],
+        ids=["exponential-mu-nan", "sobolev-r-nan", "polylog-gamma-inf"],
     )
     def test_non_finite_kernel_parameter_is_config_error(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -463,6 +465,22 @@ class TestApproxCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_rho_key_removed(self, tmp_path):
+        """Old report.json echoes carry "rho": null; they still run, and give
+        the output of the polylog exponent (1/p - 1/q)_+."""
+        args = ["approx", "--family", "polylog", "--p", "1.5", "--q", "3", "--n-list", "8", "16"]
+        assert run(args + ["--out", str(tmp_path / "plain")]) == 0
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"rho": None}))
+        assert run(args + ["--config", str(cfg), "--out", str(tmp_path / "echo")]) == 0
+        assert read(tmp_path / "echo" / "results.csv") == read(tmp_path / "plain" / "results.csv")
+        cfg.write_text(json.dumps({"rho": 0.5}))
+        assert run(args + ["--config", str(cfg), "--out", str(tmp_path / "set")]) == 2
+        assert not (tmp_path / "set").exists()
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--rho", "0.5", "--out", str(tmp_path / "flag")])
+        assert exc.value.code == 2
 
     def test_budget_key_removed(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -735,3 +753,22 @@ class TestWidthsCommand:
         assert run(["widths", *args, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+
+def readme_usage_lines():
+    """The widthlab lines of the sh block under README.md's '## CLI usage'."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = re.search(r"^## CLI usage\n.*?^```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("widthlab ")]
+
+
+def test_readme_usage_runs(tmp_path, monkeypatch):
+    """Each usage line exits 0 and writes results.csv, in order (fit reads approx's output)."""
+    monkeypatch.chdir(tmp_path)
+    lines = readme_usage_lines()
+    assert len(lines) == 6
+    for argv in lines:
+        assert run(argv[1:]) == 0, argv
+        assert (tmp_path / argv[argv.index("--out") + 1] / "results.csv").exists(), argv

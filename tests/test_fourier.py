@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from widthlab import (
+    Exponential,
     GridFunction,
     GridTooCoarseError,
+    InvalidDimensionError,
     MultiplierKernel,
     Polynomial,
-    Table,
     TrigPoly,
     TruncationExceededError,
     analyze,
@@ -102,47 +103,52 @@ class TestAnalyze:
 
 class TestApplyMultiplier:
     def test_identity(self):
-        kernel = MultiplierKernel(Table(np.ones(8)), beta=0.0)
+        kernel = MultiplierKernel(Polynomial(0), truncation=8)
         rng = np.random.default_rng(0)
         t = random_poly(rng, 8, with_const=False)
         out = apply_multiplier(kernel, t)
         assert np.allclose(out.a, t.a) and np.allclose(out.b, t.b)
 
-    def test_beta_two_negates_cos(self):
-        kernel = MultiplierKernel(Table(np.ones(4)), beta=2.0)
-        out = apply_multiplier(kernel, TrigPoly.harmonic(3))
-        assert out.a[2] == pytest.approx(-1.0)
-        assert abs(out.b[2]) < 1e-15
-
     def test_hand_expansion(self):
-        # 1/k^2 decay with a half-turn phase: cos x + sin 2x -> -cos x - sin(2x)/4
-        kernel = MultiplierKernel(Polynomial(2), beta=2.0)
+        # 1/k^2 decay: cos x + sin 2x -> cos x + sin(2x)/4
+        kernel = MultiplierKernel(Polynomial(2), truncation=2)
         phi = TrigPoly(0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         out = apply_multiplier(kernel, phi)
-        assert out.a[0] == pytest.approx(-1.0)
-        assert out.b[1] == pytest.approx(-0.25)
-        assert abs(out.a[1]) < 1e-15 and abs(out.b[0]) < 1e-15
+        assert out.a[0] == pytest.approx(1.0)
+        assert out.b[1] == pytest.approx(0.25)
+        assert out.a[1] == 0.0 and out.b[0] == 0.0
 
     def test_drops_constant_by_default(self):
-        kernel = MultiplierKernel(Table(np.ones(2)))
+        kernel = MultiplierKernel(Polynomial(0), truncation=2)
         out = apply_multiplier(kernel, TrigPoly(3.0, np.ones(2), np.ones(2)))
         assert out.a0 == 0.0
 
     def test_truncation_exceeded(self):
-        kernel = MultiplierKernel(Table(np.ones(2)))
+        kernel = MultiplierKernel(Polynomial(0), truncation=2)
         with pytest.raises(TruncationExceededError):
             apply_multiplier(kernel, TrigPoly.harmonic(3))
 
     def test_composition_is_pointwise_product(self):
         rng = np.random.default_rng(5)
-        lam1, lam2 = rng.uniform(0.1, 1, 6), rng.uniform(0.1, 1, 6)
-        k1 = MultiplierKernel(Table(lam1))
-        k2 = MultiplierKernel(Table(lam2))
-        k12 = MultiplierKernel(Table(lam1 * lam2))
+        r1, r2 = rng.uniform(0.1, 2, 2)
+        k1 = MultiplierKernel(Polynomial(r1), truncation=6)
+        k2 = MultiplierKernel(Polynomial(r2), truncation=6)
+        k12 = MultiplierKernel(Polynomial(r1 + r2), truncation=6)
         t = random_poly(rng, 6, with_const=False)
         chained = apply_multiplier(k2, apply_multiplier(k1, t))
         direct = apply_multiplier(k12, t)
         assert np.allclose(chained.coeff_vector(), direct.coeff_vector())
+
+
+class TestMultiplierKernel:
+    def test_truncation_is_required(self):
+        with pytest.raises(TypeError):
+            MultiplierKernel(Polynomial(1.0))
+
+    @pytest.mark.parametrize("truncation", [0, -5])
+    def test_truncation_below_one_is_rejected(self, truncation):
+        with pytest.raises(InvalidDimensionError, match=f"'truncation' must be >= 1, got {truncation}"):
+            MultiplierKernel(Polynomial(1.0), truncation=truncation)
 
 
 class TestSynthesizeRows:
@@ -191,10 +197,9 @@ class TestSynthesizeRows:
 
 def grid_convolution(kernel, phi, n_grid):
     """(1/2pi) int K(x-y) phi(y) dy on an n_grid-point grid, from the samples
-    of K(x) = sum_k lambda_k cos(kx - beta*pi/2) and of phi."""
+    of K(x) = sum_k lambda_k cos kx and of phi."""
     lam = kernel.lambdas()
-    theta = kernel.beta * np.pi / 2.0
-    k = synthesize(TrigPoly(0.0, lam * np.cos(theta), lam * np.sin(theta)), n_grid).samples
+    k = synthesize(TrigPoly(0.0, lam, np.zeros_like(lam)), n_grid).samples
     spec = np.fft.rfft(k) * np.fft.rfft(synthesize(phi, n_grid).samples)
     return GridFunction(np.fft.irfft(spec, n=n_grid) / n_grid)
 
@@ -211,8 +216,8 @@ class TestInvariants:
     def test_convolution_multiplier_consistency(self):
         rng = np.random.default_rng(13)
         const = convolution_constant()
-        for lam, beta in [(rng.uniform(0.2, 1, 5), 0.0), (rng.uniform(0.2, 1, 5), 1.3)]:
-            kernel = MultiplierKernel(Table(lam), beta=beta)
+        for family in (Polynomial(rng.uniform(0.1, 2)), Exponential(rng.uniform(0.1, 1), 1.0)):
+            kernel = MultiplierKernel(family, truncation=5)
             phi = random_poly(rng, 5, with_const=False)
             conv = analyze(grid_convolution(kernel, phi, 64), 5)
             mult = apply_multiplier(kernel, phi)
