@@ -2,7 +2,7 @@
 classes, Kolmogorov widths of l_p balls, and asymptotic rate checks.
 
 Names and submodules load on first use (PEP 562), so a run that needs only
-the closed forms never imports numpy.
+the closed forms or the rate fit (``rates``) never imports numpy.
 """
 
 import importlib

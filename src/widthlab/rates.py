@@ -4,8 +4,8 @@ Rate tables and optimality verdicts of three families: "sobolev"
 (coefficients k^-r), "exponential" (exp(-mu k^r); r >= 1 is the
 analytic/entire regime) and "polylog" (k^{-(1/p-1/q)_+} ln(k+1)^{-gamma}).
 Widths of l_p balls in l_q where they have a closed form, and the
-logarithmic lower bound built on them.  Only the fit and RateModel's
-evaluation use numpy, and they import it themselves.
+logarithmic lower bound built on them.  Everything here, the fit included,
+runs on the standard library alone.
 """
 
 import logging
@@ -23,6 +23,8 @@ FIT_MIN_N = 8
 RESIDUAL_FLOOR = 1e-14
 PARSIMONY_RATIO = 10.0
 FIT_XATOL = 1e-12
+# The exp family's r grid, numpy.linspace(0.05, 2.0, 40) point for point.
+R_GRID = [0.05 + i * ((2.0 - 0.05) / 39) for i in range(39)] + [2.0]
 
 
 @dataclass(frozen=True)
@@ -38,13 +40,12 @@ class RateModel:
     b: float = 0.0
 
     def __call__(self, n):
-        import numpy as np
-        n = np.asarray(n, dtype=float)
+        """The model at one n; nan or +-inf, as numpy gives them, off its domain."""
         if self.kind == "poly":
-            return self.c * n ** (-self.a)
+            return self.c * _pow(n, -self.a)
         if self.kind == "polylog":
-            return self.c * n ** (-self.a) * np.log(n) ** (-self.g)
-        return self.c * np.exp(-self.mu * n**self.r) * n**self.b
+            return self.c * _pow(n, -self.a) * _pow(_log(n), -self.g)
+        return self.c * _exp(-self.mu * _pow(n, self.r)) * _pow(n, self.b)
 
     def describe(self):
         if self.kind == "poly":
@@ -391,17 +392,69 @@ def lower_bound_pipeline(gamma, p, q, n, m_override=None):
     )
 
 
-def _lstsq(design, target):
-    import numpy as np
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    resid = target - design @ coef
-    return coef, float(np.sqrt(np.mean(resid**2)))
+def _pow(x, y):
+    """x ** y, with C99 pow's values (numpy's) where math.pow raises: +-inf on
+    overflow and for a zero base with a negative exponent, nan for a negative
+    base with a non-integer exponent."""
+    try:
+        return math.pow(x, y)
+    except (OverflowError, ValueError):
+        integer = float(y).is_integer()
+        if x < 0 and not integer:
+            return math.nan
+        return math.copysign(math.inf, x) if integer and y % 2 == 1 else math.inf
+
+
+def _log(x):
+    """math.log, with numpy's -inf at 0 and nan below it."""
+    return math.log(x) if x > 0 else -math.inf if x == 0 else math.nan
+
+
+def _exp(x):
+    """math.exp, with numpy's inf on overflow."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _lstsq(columns, target):
+    """Least squares by Householder QR (Golub & Van Loan, Matrix Computations,
+    sec. 5.2) over the design's columns: (coefficients, RMS residual).
+
+    QR keeps the design's condition number (about 1e4 for the exp design),
+    where the normal equations would square it.  Column norms come from
+    math.hypot and each reflector is normalized as in LAPACK's dlarfg, so no
+    step squares an entry.  The residual is target - design @ coef, each entry
+    summed by math.fsum.  A rank-deficient design raises DegenerateDataError.
+    """
+    cols, y = [list(col) for col in columns], list(target)
+    for j, col in enumerate(cols):
+        alpha = col[j]
+        beta = -math.copysign(math.hypot(*col[j:]), alpha)
+        if beta == 0.0:
+            raise DegenerateDataError("the n values are too close together to fit a rate")
+        v = [1.0] + [x / (alpha - beta) for x in col[j + 1 :]]
+        tau = (beta - alpha) / beta
+        for other in cols[j + 1 :] + [y]:
+            s = tau * sum(vi * xi for vi, xi in zip(v, other[j:]))
+            other[j:] = [xi - s * vi for vi, xi in zip(v, other[j:])]
+        col[j] = beta
+    k = len(cols)
+    coef = [0.0] * k
+    for j in reversed(range(k)):
+        coef[j] = (y[j] - sum(cols[i][j] * coef[i] for i in range(j + 1, k))) / cols[j][j]
+    resid = [math.fsum([t] + [-x * c for x, c in zip(row, coef)]) for t, *row in zip(target, *columns)]
+    return coef, math.sqrt(math.fsum(r * r for r in resid) / len(resid))
 
 
 def _fit_exp_at_r(r, n, logv):
-    import numpy as np
-    design = np.column_stack([np.ones_like(n), -(n**r), np.log(n)])
-    return _lstsq(design, logv)
+    """The exp family's fit at a fixed r.  n increases, so n^r is largest at
+    the last n; where that overflows, the residual is inf."""
+    decay = [-_pow(x, r) for x in n]
+    if math.isinf(decay[-1]):
+        return [math.nan] * 3, math.inf
+    return _lstsq([[1.0] * len(decay), decay, [math.log(x) for x in n]], logv)
 
 
 def _golden_min(f, lo, hi):
@@ -429,40 +482,37 @@ def fit_rate(points):
     ties: a richer family is chosen only when it beats the simpler one's
     residual by a factor of 10.
     """
-    import numpy as np
-    pts = np.asarray(sorted(points), dtype=float).reshape(-1, 2)
+    pts = sorted((float(n), float(v)) for n, v in points)
     if len(pts) < FIT_MIN_POINTS:
         raise DegenerateDataError(f"need at least {FIT_MIN_POINTS} points, got {len(pts)}")
-    if not np.all(np.isfinite(pts)):
+    if not all(math.isfinite(n) and math.isfinite(v) for n, v in pts):
         raise DegenerateDataError("n and values must be finite")
-    n, v = pts.T
-    if np.any(v <= 0):
+    if any(v <= 0 for _, v in pts):
         raise DegenerateDataError("values must be positive")
-    if np.all(v == v[0]):
+    if all(v == pts[0][1] for _, v in pts):
         raise DegenerateDataError("constant values carry no rate information")
-    if np.any(np.diff(n) <= 0):
+    if any(b[0] <= a[0] for a, b in zip(pts, pts[1:])):
         raise DegenerateDataError("n must be strictly increasing")
-    mask = n >= FIT_MIN_N
-    if np.count_nonzero(mask) >= FIT_MIN_POINTS:
-        n, v = n[mask], v[mask]
+    kept = [pt for pt in pts if pt[0] >= FIT_MIN_N]
+    if len(kept) >= FIT_MIN_POINTS:
+        pts = kept
+    n = [x for x, _ in pts]
     if n[0] <= 1:
         raise DegenerateDataError(f"the fit needs n > 1 (log log n), got n = {n[0]:g}")
-    logv = np.log(v)
-    logn = np.log(n)
+    logv = [math.log(v) for _, v in pts]
+    logn = [math.log(x) for x in n]
+    ones = [1.0] * len(n)
 
-    coef_p, res_p = _lstsq(np.column_stack([np.ones_like(n), -logn]), logv)
+    coef_p, res_p = _lstsq([ones, [-x for x in logn]], logv)
     poly = RateModel("poly", c=math.exp(coef_p[0]), a=coef_p[1])
 
-    coef_l, res_l = _lstsq(
-        np.column_stack([np.ones_like(n), -logn, -np.log(logn)]), logv
-    )
+    coef_l, res_l = _lstsq([ones, [-x for x in logn], [-math.log(x) for x in logn]], logv)
     polylog = RateModel("polylog", c=math.exp(coef_l[0]), a=coef_l[1], g=coef_l[2])
 
-    grid = np.linspace(0.05, 2.0, 40)
-    grid_res = [_fit_exp_at_r(r, n, logv)[1] for r in grid]
-    best_idx = int(np.argmin(grid_res))
-    lo = grid[max(best_idx - 1, 0)]
-    hi = grid[min(best_idx + 1, len(grid) - 1)]
+    grid_res = [_fit_exp_at_r(r, n, logv)[1] for r in R_GRID]
+    best_idx = min(range(len(R_GRID)), key=grid_res.__getitem__)
+    lo = R_GRID[max(best_idx - 1, 0)]
+    hi = R_GRID[min(best_idx + 1, len(R_GRID) - 1)]
     r_best = _golden_min(lambda r: _fit_exp_at_r(r, n, logv)[1], lo, hi)
     coef_e, res_e = _fit_exp_at_r(r_best, n, logv)
     exp_model = RateModel(
@@ -472,9 +522,9 @@ def fit_rate(points):
     # The exponential family is only a genuine candidate when its decay term
     # actually spans the data range; otherwise it degenerates into a smooth
     # log-polynomial absorber and would shadow the simpler families.
-    exp_span = exp_model.mu * (n[-1] ** r_best - n[0] ** r_best)
+    exp_span = exp_model.mu * (_pow(n[-1], r_best) - _pow(n[0], r_best))
     if not exp_span >= 0.5:
-        res_e = np.inf
+        res_e = math.inf
 
     fp = max(res_p, RESIDUAL_FLOOR)
     fl = max(res_l, RESIDUAL_FLOOR)

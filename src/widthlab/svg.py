@@ -26,12 +26,12 @@ def _ticks(lo, hi):
 def render_plot(series, title=""):
     """Return an SVG document string with log axes labelled n and value.
 
-    series: list of (label, xs, ys); points with nonpositive coordinates are
-    dropped.
+    series: list of (label, xs, ys); points with a nonpositive or non-finite
+    coordinate are dropped.
     """
     cleaned = []
     for label, xs, ys in series:
-        pts = [(x, y) for x, y in zip(xs, ys) if x > 0 and y > 0]
+        pts = [(x, y) for x, y in zip(xs, ys) if 0 < x < math.inf and 0 < y < math.inf]
         if pts:
             cleaned.append((label, pts))
     if not cleaned:

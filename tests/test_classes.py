@@ -18,21 +18,21 @@ from widthlab import (
     lower_bound_pipeline,
     synthesize,
 )
-from widthlab import norms
+from widthlab import classes, norms
 from widthlab.rates import M_CAP
 from widthlab.fourier import Exponential, Polynomial, analyze, apply_multiplier, default_grid_size
 from widthlab.norms import lp_norm, poly_lp_norm
 
 
 def sequential_search(kernel, p, q, n):
-    """en_lower_search's harmonics scored one at a time through poly_lp_norm
+    """en_lower_search's harmonics scored one at a time through cos_norm
     and best_approx; returns the largest error."""
     const = convolution_constant()
     grid = default_grid_size(min(max(2 * n, n + 8), kernel.truncation))
     best = 0.0
     for k in range(n + 1, min(n + 9, kernel.truncation + 1)):
         phi = TrigPoly.harmonic(k)
-        norm = poly_lp_norm(phi, p)
+        norm = cos_norm(p)
         image = apply_multiplier(kernel, phi)
         image = TrigPoly(0.0, const * image.a / norm, const * image.b / norm)
         best = max(best, best_approx(synthesize(image, grid), n, q)[0])
@@ -87,6 +87,21 @@ class TestEnExactL2:
 
             best = max(best, lp_norm(GridFunction(resid), 2.0))
         assert en_exact_l2(kernel, n) == pytest.approx(best, abs=1e-6)
+
+
+class TestCosLpNorm:
+    @pytest.mark.parametrize(
+        "p, integral", [(1.0, 4.0), (2.0, math.pi), (3.0, 8 / 3), (4.0, 3 * math.pi / 4)]
+    )
+    def test_known_integrals(self, p, integral):
+        # int_0^{2pi} |cos x|^p dx by Wallis' formulas.
+        assert classes._cos_lp_norm(p) == pytest.approx(integral ** (1 / p), rel=1e-15)
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+    @pytest.mark.parametrize("k", [1, 9, 56])
+    def test_matches_the_exact_quadrature_at_even_p(self, p, k):
+        # At even p the quadrature is exact on its first grid.
+        assert classes._cos_lp_norm(p) == pytest.approx(poly_lp_norm(TrigPoly.harmonic(k), p), rel=1e-14)
 
 
 class TestEnLowerSearch:
@@ -165,9 +180,9 @@ class TestEnLowerSearch:
             monkeypatch.setattr(norms, name, counted)
         kernel = MultiplierKernel(Polynomial(r), truncation=truncation)
         search = en_lower_search(kernel, 1.5, 3.0, n)
-        # All eight harmonics in one quadrature and one IRLS block.
+        # All eight harmonics in one IRLS block; their norm is a closed form.
         assert search.evaluated == 8
-        assert calls == {"_quadrature_lp": 1, "_lq_regress": 1}
+        assert calls == {"_quadrature_lp": 0, "_lq_regress": 1}
 
 
 class TestLowerBoundPipeline:

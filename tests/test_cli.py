@@ -166,8 +166,8 @@ def write_series(path, pairs):
 
 class TestImportGraph:
     def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
-        """In one new interpreter: the closed-form runs leave numpy unloaded,
-        the runs that need it still succeed, and nothing loads scipy."""
+        """In one new interpreter: the closed-form and fit runs leave numpy
+        unloaded, the runs that need it still succeed, and nothing loads scipy."""
         data = tmp_path / "data.csv"
         write_series(data, [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128, 256, 512)])
         numpy_free = [
@@ -179,12 +179,12 @@ class TestImportGraph:
             ["widths", "--m", "5", "--n-list", "0", "5", "--p", "1.5", "--q", "3"],
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "1.5"],
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "3"],
+            ["fit", "--input", str(data)],
         ]
         with_numpy = [
             ["widths", "--m", "4", "--n-list", "2", "--p", "1.5", "--q", "3", "--restarts", "2"],
             ["mz", "--m-list", "4", "--p-list", "1.5", "--trials", "5"],
             ["approx", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3", "--n-list", "8"],
-            ["fit", "--input", str(data)],
         ]
         runs = [args if args[0].startswith("--") else args + ["--out", str(tmp_path / str(i))]
                 for i, args in enumerate(numpy_free + with_numpy)]
@@ -239,6 +239,29 @@ class TestImportGraph:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(read(out / "report.json"))["report"]["model"]["kind"] == "poly"
+
+    def test_fit_runs_with_numpy_blocked(self, tmp_path, monkeypatch):
+        """rate-study's two fit runs (bench/workloads.py) and the README's fit
+        line exit 0 in a new interpreter where importing numpy fails."""
+        monkeypatch.chdir(tmp_path)
+        fits = []
+        for family, params in (("sobolev", ["--r", "1"]), ("polylog", ["--gamma", "1"])):
+            approx = ["approx", "--family", family, *params, "--p", "1.5", "--q", "3",
+                      "--n-list", "8", "12", "16", "24", "32", "48", "--seed", "1", "--out", f"approx-{family}"]
+            assert run(approx) == 0
+            fits.append(["fit", "--input", f"approx-{family}/results.csv", "--seed", "1", "--out", f"fit-{family}"])
+        readme = {argv[1]: argv[1:] for argv in readme_usage_lines()}
+        assert run(readme["approx"]) == 0
+        fits.append(readme["fit"])
+        proc = run_fresh(
+            "import os, sys\n"
+            "sys.modules['numpy'] = None\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            "from widthlab.cli import main\n"
+            f"print([main(args) for args in {fits!r}])"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0]\n"
 
 
 # The eager namespace of widthlab before its names were made lazy, by the
@@ -535,6 +558,18 @@ class TestFitCommand:
         assert run(["fit", "--input", str(data), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_fitted_rows(self, tmp_path):
+        """Below n = 8 the fitted polylog leaves its domain: nan at n = 0.5
+        (ln n < 0) and inf at n = 1 (ln n = 0).  The run exits 0 and plots the
+        finite points."""
+        data, out = tmp_path / "data.csv", tmp_path / "out"
+        write_series(data, [(0.5, 2.0), (1, 1.5)] + [(n, 1 / math.log(n)) for n in (8, 12, 16, 24, 32, 48, 64)])
+        assert run(["fit", "--input", str(data), "--out", str(out)]) == 0
+        assert json.loads(read(out / "report.json"))["report"]["model"]["kind"] == "polylog"
+        rows = read(out / "results.csv").decode().splitlines()
+        assert rows[10:12] == ["0.5,fitted,nan", "1,fitted,inf"]
+        assert (out / "plot.svg").exists()
 
     def test_fits_polylog_approx_output(self, tmp_path):
         approx_out, out = tmp_path / "approx", tmp_path / "fit"

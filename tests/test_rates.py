@@ -191,6 +191,86 @@ class TestFitRate:
             fit_rate([(n, -(n**-1.0)) for n in self.NS])
         with pytest.raises(DegenerateDataError):
             fit_rate([(8, 1.0), (16, 0.5)])
+        # Six n one float step apart share one ln n: the design has rank 1.
+        with pytest.raises(DegenerateDataError, match="too close together"):
+            fit_rate([(1e17 + 16 * k, 1 / (k + 1)) for k in range(6)])
+
+    def test_n_whose_powers_overflow(self):
+        # n^r overflows for r > 308/250 at the last n; those r score inf, and
+        # the exact power law still wins.
+        model, residual = fit_rate([(10.0**k, 10.0**-k) for k in (10, 50, 100, 150, 200, 250)])
+        assert model.kind == "poly"
+        assert model.a == pytest.approx(1.0, rel=1e-12)
+        assert residual < 1e-12
+
+    def test_r_grid_is_the_linspace(self):
+        assert rates.R_GRID == np.linspace(0.05, 2.0, 40).tolist()
+
+
+def numpy_evaluation(model, n):
+    """RateModel's evaluation as numpy gives it, with its warnings off."""
+    n = np.asarray(n, dtype=float)
+    with np.errstate(all="ignore"):
+        if model.kind == "poly":
+            return float(model.c * n ** (-model.a))
+        if model.kind == "polylog":
+            return float(model.c * n ** (-model.a) * np.log(n) ** (-model.g))
+        return float(model.c * np.exp(-model.mu * n**model.r) * n**model.b)
+
+
+# Integer exponents take pow's odd/even branches for a negative base.
+EXPONENT = st.one_of(st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(-3.0, 3.0))
+
+
+class TestRateModelEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["poly", "polylog", "exp"]),
+        n=st.one_of(st.sampled_from([-4.0, -1.0, 0.0, 0.5, 1.0, 600.0]), st.floats(-4.0, 600.0)),
+        c=st.floats(1e-3, 1e3),
+        a=EXPONENT,
+        g=EXPONENT,
+        mu=st.floats(-2.0, 2.0),
+        r=st.one_of(EXPONENT, st.floats(0.05, 2.0)),
+        b=EXPONENT,
+    )
+    def test_matches_numpy(self, kind, n, c, a, g, mu, r, b):
+        """Off the model's domain (n <= 0, ln n <= 0, exp overflow) the value is
+        numpy's nan or signed inf; elsewhere it agrees to rounding."""
+        model = rates.RateModel(kind, c=c, a=a, g=g, mu=mu, r=r, b=b)
+        got, want = model(n), numpy_evaluation(model, n)
+        if math.isfinite(want):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        else:
+            assert (math.isnan(got) and math.isnan(want)) or got == want
+
+
+class TestLstsq:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.lists(st.integers(2, 600), min_size=6, max_size=13, unique=True).map(sorted),
+        shape=st.sampled_from(["poly", "polylog", "exp"]),
+        r=st.floats(0.05, 2.0),
+        scale=st.sampled_from([1e-6, 1e-3, 1.0, 10.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_lstsq(self, n, shape, r, scale, seed):
+        """On fit_rate's three designs: coefficients within 1e-10 relative,
+        scaled by the design's condition number, and the RMS residual within
+        1e-12 relative."""
+        n = np.asarray(n, dtype=float)
+        columns = {
+            "poly": [np.ones_like(n), -np.log(n)],
+            "polylog": [np.ones_like(n), -np.log(n), -np.log(np.log(n))],
+            "exp": [np.ones_like(n), -(n**r), np.log(n)],
+        }[shape]
+        design = np.column_stack(columns)
+        target = scale * np.random.default_rng(seed).standard_normal(len(n))
+        coef, residual = rates._lstsq(columns, target)
+        want, *_ = np.linalg.lstsq(design, target, rcond=None)
+        want_residual = math.sqrt(np.mean((target - design @ want) ** 2))
+        assert np.linalg.norm(np.asarray(coef) - want) <= 1e-10 * np.linalg.cond(design) * np.linalg.norm(want)
+        assert residual == pytest.approx(want_residual, rel=1e-12)
 
 
 class TestGoldenMin:

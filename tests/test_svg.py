@@ -20,3 +20,10 @@ def test_drops_nonpositive_points():
 def test_widens_a_constant_series():
     series = [("flat", [2, 4, 8], [0.3, 0.3, 0.3])]
     assert digest(series) == "233469e26df4a8ba7e1702eba2d7206c2e1260ed8b93e8ea82465808f01b7b70"
+
+
+def test_drops_non_finite_points():
+    # A fit of n = 0.5, 1, 8, ... writes nan and inf at n = 0.5 and 1.
+    finite = [("fitted", [8, 16, 32], [0.48, 0.36, 0.29])]
+    series = [("fitted", [0.5, 1, 8, 16, 32], [float("nan"), float("inf"), 0.48, 0.36, 0.29])]
+    assert digest(series) == digest(finite)
