@@ -9,8 +9,6 @@ one-row case.  The p = 1 brute-force widths run it on the vertices of the
 l_1 ball.
 """
 
-import os
-
 import numpy as np
 
 from .errors import (
@@ -25,13 +23,10 @@ QUADRATURE_CAP = 2**16
 # The screening tolerance and band multiple of mz_ratio_stats.
 MZ_SCREEN_TOL = 1e-5
 MZ_BAND = 100.0
-# Most samples synthesized at once, over all workers: a level's rows run in
-# blocks of at most QUADRATURE_BLOCK // _WORKERS samples each, one block per
-# worker thread (numpy's FFT and ufuncs release the GIL).  It also bounds one
-# block of best_approx_rows' weighted basis.
+# Most samples synthesized at once: a grid level's rows run in blocks of at
+# most QUADRATURE_BLOCK samples.  It also bounds one block of best_approx_rows'
+# weighted basis.
 QUADRATURE_BLOCK = 2**20
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_pool = None  # created by the first level that splits into blocks
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 200
 
@@ -42,39 +37,33 @@ def _trapezoid_lp(samples, p):
     return (2.0 * np.pi / n * np.sum(np.abs(samples) ** p, axis=-1)) ** (1.0 / p)
 
 
+def _check_p(p):
+    if not 1 <= p < np.inf:
+        raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
+
+
 def lp_norm(f, p):
     """Trapezoidal L_p norm of a grid function over [0, 2pi)."""
-    if p < 1:
-        raise InvalidExponentError(f"p must be >= 1, got {p}")
+    _check_p(p)
     return float(_trapezoid_lp(f.samples, p))
-
-
-def _block_power_sums(rows, n_grid, p, shift):
-    x = synthesize_rows(rows, n_grid, shift)
-    np.abs(x, out=x)
-    np.power(x, p, out=x)
-    return np.sum(x, axis=-1)
 
 
 def _power_sums(coeffs, n_grid, p, shift=0.0):
     """Sums of |t|^p over the points 2pi (j + shift) / n_grid of coefficient rows.
 
-    Rows run in blocks of whole rows holding at most QUADRATURE_BLOCK // _WORKERS
-    samples, on a pool of _WORKERS threads when there are several.  Each row's
-    transform and sum are independent of the other rows, so the sums do not
-    depend on the blocking or the worker count.
+    Rows run in blocks of whole rows holding at most QUADRATURE_BLOCK samples
+    (a row longer than that runs alone).  Each row's transform and sum are
+    independent of the other rows, so the sums do not depend on the blocking.
     """
-    global _pool
     rows = coeffs.reshape(-1, coeffs.shape[-1])
-    step = max(1, QUADRATURE_BLOCK // _WORKERS // n_grid)
-    blocks = [rows[i : i + step] for i in range(0, len(rows), step)]
-    if len(blocks) > 1 and _WORKERS > 1:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # kept off the start-up path
-            _pool = ThreadPoolExecutor(_WORKERS)
-        sums = list(_pool.map(lambda block: _block_power_sums(block, n_grid, p, shift), blocks))
-    else:
-        sums = [_block_power_sums(block, n_grid, p, shift) for block in blocks]
+    step = max(1, QUADRATURE_BLOCK // n_grid)
+    sums = []
+    for i in range(0, len(rows), step):
+        x = synthesize_rows(rows[i : i + step], n_grid, shift)
+        np.abs(x, out=x)
+        np.power(x, p, out=x)
+        sums.append(np.sum(x, axis=-1))
+        del x  # freed before the next block is synthesized
     return np.concatenate(sums).reshape(coeffs.shape[:-1])
 
 
@@ -121,16 +110,10 @@ def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
     return cur, n_grid, change
 
 
-def poly_lp_norms(coeffs, p):
-    """L_p norms of coefficient rows (a0, a, b) by grid-refined quadrature."""
-    if not 1 <= p < np.inf:
-        raise InvalidExponentError(f"p must be finite and >= 1, got {p}")
-    return _quadrature_lp(np.asarray(coeffs, dtype=float), p)[0]
-
-
 def poly_lp_norm(t, p):
-    """L_p norm of a trigonometric polynomial: the one-row case of poly_lp_norms."""
-    return float(poly_lp_norms(t.coeff_vector(), p))
+    """L_p norm of a trigonometric polynomial by grid-refined quadrature."""
+    _check_p(p)
+    return float(_quadrature_lp(t.coeff_vector(), p)[0])
 
 
 def _design_matrix(x, n):

@@ -418,6 +418,14 @@ def _exp(x):
         return math.inf
 
 
+def _constant(log_c):
+    """A fitted constant e^log_c; beyond the float range, DegenerateDataError."""
+    try:
+        return math.exp(log_c)
+    except OverflowError:
+        raise DegenerateDataError("a fitted constant exceeds the float range; rescale the values") from None
+
+
 def _lstsq(columns, target):
     """Least squares by Householder QR (Golub & Van Loan, Matrix Computations,
     sec. 5.2) over the design's columns: (coefficients, RMS residual).
@@ -504,10 +512,10 @@ def fit_rate(points):
     ones = [1.0] * len(n)
 
     coef_p, res_p = _lstsq([ones, [-x for x in logn]], logv)
-    poly = RateModel("poly", c=math.exp(coef_p[0]), a=coef_p[1])
+    poly = RateModel("poly", c=_constant(coef_p[0]), a=coef_p[1])
 
     coef_l, res_l = _lstsq([ones, [-x for x in logn], [-math.log(x) for x in logn]], logv)
-    polylog = RateModel("polylog", c=math.exp(coef_l[0]), a=coef_l[1], g=coef_l[2])
+    polylog = RateModel("polylog", c=_constant(coef_l[0]), a=coef_l[1], g=coef_l[2])
 
     grid_res = [_fit_exp_at_r(r, n, logv)[1] for r in R_GRID]
     best_idx = min(range(len(R_GRID)), key=grid_res.__getitem__)
@@ -516,7 +524,7 @@ def fit_rate(points):
     r_best = _golden_min(lambda r: _fit_exp_at_r(r, n, logv)[1], lo, hi)
     coef_e, res_e = _fit_exp_at_r(r_best, n, logv)
     exp_model = RateModel(
-        "exp", c=math.exp(coef_e[0]), mu=coef_e[1], r=r_best, b=coef_e[2]
+        "exp", c=_constant(coef_e[0]), mu=coef_e[1], r=r_best, b=coef_e[2]
     )
 
     # The exponential family is only a genuine candidate when its decay term

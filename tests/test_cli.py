@@ -5,11 +5,9 @@ import math
 import os
 import re
 import shlex
-import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 
 import pytest
 from hypothesis import assume, given, settings
@@ -148,15 +146,6 @@ def run_fresh(code):
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
-@pytest.fixture
-def quadrature_workers(monkeypatch):
-    """Set the quadrature's worker count, from no pool; a pool it starts is shut down after."""
-    monkeypatch.setattr(widthlab.norms, "_pool", None)
-    yield lambda workers: monkeypatch.setattr(widthlab.norms, "_WORKERS", workers)
-    if widthlab.norms._pool is not None:
-        widthlab.norms._pool.shutdown()
-
-
 def write_series(path, pairs):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -208,13 +197,15 @@ class TestImportGraph:
         expected += [f"{args[0]} 0 True" for args in with_numpy]
         assert proc.stdout.splitlines() == expected + ["scipy False"]
 
-    def test_import_and_quadrature_free_commands_start_no_thread(self, tmp_path):
+    def test_no_command_starts_a_thread(self, tmp_path):
         data = tmp_path / "data.csv"
         write_series(data, [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128, 256, 512)])
         runs = [
             ["widths", "--m", "4", "--n-list", "2", "--p", "1.5", "--q", "3", "--restarts", "2"],
             ["catalog", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3"],
             ["fit", "--input", str(data)],
+            # Its screening ladder splits the 8,192 midpoints of 200 rows into blocks.
+            ["mz", "--p-list", "1.5", "--m-list", "128", "--trials", "200"],
         ]
         proc = run_fresh(
             "import threading, widthlab\n"
@@ -226,7 +217,7 @@ class TestImportGraph:
             "print('threads', *counts)"
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split()[-5:] == ["threads", "1", "1", "1", "1"]
+        assert proc.stdout.split()[-6:] == ["threads", "1", "1", "1", "1", "1"]
 
     def test_fit_runs_with_scipy_blocked(self, tmp_path):
         data, out = tmp_path / "data.csv", tmp_path / "out"
@@ -549,14 +540,18 @@ class TestFitCommand:
             [(n, 2.0 * n**-1.5) for n in (1, 2, 3, 4, 5, 6)],
             [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128)] + [(256, "nan")],
             [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128)] + [(256, "inf")],
+            # Finite positive values whose fitted constant, the value at n = 1, is about 1e309.
+            [(n, 1e300 * (8 / n) ** 10) for n in (8, 12, 16, 24, 32, 48)],
         ],
-        ids=["n-one", "nan-value", "inf-value"],
+        ids=["n-one", "nan-value", "inf-value", "constant-overflow"],
     )
     def test_malformed_points_are_config_errors(self, tmp_path, capsys, pairs):
         data, out = tmp_path / "data.csv", tmp_path / "out"
         write_series(data, pairs)
         assert run(["fit", "--input", str(data), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "config error" in err
         assert not out.exists()
 
     def test_non_finite_fitted_rows(self, tmp_path):
@@ -633,39 +628,26 @@ class TestMzCommand:
         assert "config error: mz " in err
         assert not out.exists()
 
-    def test_memory_error_in_a_worker_is_config_error(self, tmp_path, capsys, monkeypatch, quadrature_workers):
-        # Injected, as above, into the blocks that run on pool threads only.
+    def test_memory_error_in_a_split_level_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # Injected, as above, into the first full block of a level that splits:
+        # the 8,192 midpoints of 200 rows run in blocks of 128 rows.
         synthesize_rows = widthlab.norms.synthesize_rows
         failed = []
 
-        def exhausted_in_worker(coeffs, n_grid, shift=0.0):
-            if threading.current_thread() is not threading.main_thread():
-                failed.append(n_grid)
+        def exhausted_in_a_block(coeffs, n_grid, shift=0.0):
+            if len(coeffs) * n_grid == widthlab.norms.QUADRATURE_BLOCK:
+                failed.append((len(coeffs), n_grid))
                 raise MemoryError
             return synthesize_rows(coeffs, n_grid, shift)
 
-        monkeypatch.setattr(widthlab.norms, "synthesize_rows", exhausted_in_worker)
-        quadrature_workers(2)
+        monkeypatch.setattr(widthlab.norms, "synthesize_rows", exhausted_in_a_block)
         out = tmp_path / "out"
-        assert run(["mz", "--p-list", "1.5", "--out", str(out)]) == 2
-        assert failed
+        assert run(["mz", "--p-list", "1.5", "--m-list", "128", "--trials", "200", "--out", str(out)]) == 2
+        assert failed == [(128, 8192)]
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "config error: mz " in err
         assert not out.exists()
-
-    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, quadrature_workers):
-        args = ["mz", "--p-list", "1.5", "--m-list", "64", "--trials", "200", "--out", str(tmp_path / "out")]
-        outputs = []
-        for workers in (1, 2):
-            quadrature_workers(workers)
-            assert run(args) == 0
-            outputs.append([read(tmp_path / "out" / name) for name in ("results.csv", "report.json")])
-            shutil.rmtree(tmp_path / "out")
-        # At 2 workers the screening ladder's last doubling, to 8,192 points,
-        # splits the 200 rows into blocks.
-        assert widthlab.norms._pool is not None
-        assert outputs[0] == outputs[1]
 
 
 class TestWidthsCommand:

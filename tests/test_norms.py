@@ -1,6 +1,5 @@
-import contextlib
 import math
-import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -35,20 +34,6 @@ def random_poly(rng, degree):
     return TrigPoly(0.0, rng.standard_normal(degree), rng.standard_normal(degree))
 
 
-@contextlib.contextmanager
-def quadrature_workers(workers, block=QUADRATURE_BLOCK):
-    """Run the quadrature with this worker count and block, from no pool."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(norms, "_WORKERS", workers)
-        mp.setattr(norms, "QUADRATURE_BLOCK", block)
-        mp.setattr(norms, "_pool", None)
-        try:
-            yield
-        finally:
-            if norms._pool is not None:
-                norms._pool.shutdown()
-
-
 class TestLpNorm:
     def test_constant_l2(self):
         f = synthesize(TrigPoly(1.0, np.zeros(0), np.zeros(0)), 256)
@@ -66,6 +51,13 @@ class TestLpNorm:
         f = synthesize(TrigPoly.harmonic(1), 64)
         with pytest.raises(InvalidExponentError):
             lp_norm(f, 0.5)
+
+    @pytest.mark.parametrize("p", [math.inf, math.nan])
+    def test_rejects_infinite_and_nan_p_like_poly_lp_norm(self, p):
+        f = synthesize(TrigPoly(0.0, np.array([3.0]), np.zeros(1)), 64)
+        for norm, arg in [(lp_norm, f), (poly_lp_norm, TrigPoly.harmonic(1))]:
+            with pytest.raises(InvalidExponentError, match="p must be finite and >= 1"):
+                norm(arg, p)
 
     def test_holder_consistency(self):
         rng = np.random.default_rng(2)
@@ -87,8 +79,8 @@ class TestQuadrature:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_blocked_norms_equal_whole_batch(self, n_grid, degree, extra_rows, p, seed):
-        # One full per-worker block plus part of another, so every batch is split.
-        block_rows = max(1, QUADRATURE_BLOCK // norms._WORKERS // n_grid)
+        # One full block plus part of another, so every batch is split.
+        block_rows = max(1, QUADRATURE_BLOCK // n_grid)
         rows = block_rows + 1 + extra_rows % block_rows
         coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
         whole = _trapezoid_lp(synthesize_rows(coeffs, n_grid), p)
@@ -107,63 +99,37 @@ class TestQuadrature:
         coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
         for shift in (0.0, 0.5):
             whole = np.sum(np.abs(synthesize_rows(coeffs, n_grid, shift)) ** p, axis=-1)
-            for workers in (1, 2, 3):
-                with quadrature_workers(workers, block):
-                    assert np.array_equal(_power_sums(coeffs, n_grid, p, shift), whole)
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        m=st.integers(1, 64),
-        rows=st.integers(2, 16),
-        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 7.0]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_quadrature_is_the_same_with_and_without_the_pool(self, m, rows, p, seed):
-        coeffs = _random_unit_polys(m, rows, np.random.default_rng(seed))
-        # A block of 2^9 samples holds one row per worker, so every level splits.
-        with quadrature_workers(1, 2**9):
-            serial = _quadrature_lp(coeffs, p)
-            assert norms._pool is None
-        with quadrature_workers(2, 2**9):
-            pooled = _quadrature_lp(coeffs, p)
-            assert norms._pool is not None
-        # The norms, the final grid and the last changes.
-        for a, b in zip(pooled, serial):
-            assert np.array_equal(a, b)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(norms, "QUADRATURE_BLOCK", block)
+                assert np.array_equal(_power_sums(coeffs, n_grid, p, shift), whole)
 
     # p = 1.5 runs the ladder to the cap; p = 2^10 transforms one exact grid
-    # at the cap.
+    # at the cap.  `workers` quadratures running at once (in separate
+    # processes, say) each get QUADRATURE_BLOCK // workers samples.
     @pytest.mark.parametrize("p", [1.5, 2.0**10])
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_at_most_one_block_per_worker_in_flight(self, monkeypatch, p, workers):
+        block = QUADRATURE_BLOCK // workers
         calls = []
+        alive = []
 
         def recording(coeffs, n_grid, shift=0.0):
+            # The previous block's samples are freed before the next is made.
+            assert all(ref() is None for ref in alive)
             calls.append((len(coeffs), n_grid))
-            return synthesize_rows(coeffs, n_grid, shift)
+            x = synthesize_rows(coeffs, n_grid, shift)
+            alive.append(weakref.ref(x))
+            return x
 
         monkeypatch.setattr(norms, "synthesize_rows", recording)
+        monkeypatch.setattr(norms, "QUADRATURE_BLOCK", block)
         # Scaled so that |t|^(2^10) stays finite.
         coeffs = 0.1 * _random_unit_polys(64, 200, np.random.default_rng(3))
-        with quadrature_workers(workers):
-            _quadrature_lp(coeffs, p)
+        _quadrature_lp(coeffs, p)
         assert max(n_grid for _, n_grid in calls) >= 2**15
-        assert all(rows == 1 or rows * n_grid <= QUADRATURE_BLOCK // workers for rows, n_grid in calls)
-
-    def test_pool_starts_only_for_a_split_level_on_several_cpus(self):
-        threads = threading.active_count()
-        coeffs = _random_unit_polys(8, 200, np.random.default_rng(4))
-        # One CPU: every level runs inline, however many blocks it has.
-        with quadrature_workers(1):
-            _quadrature_lp(coeffs, 1.5)
-            assert norms._pool is None
-        # Two CPUs, but 4 rows never fill a block below the cap.
-        with quadrature_workers(2):
-            _quadrature_lp(coeffs[:4], 1.5)
-            assert norms._pool is None
-            _quadrature_lp(coeffs, 1.5)
-            assert norms._pool is not None
-        assert threading.active_count() == threads
+        # 200 rows of 2^15 samples split into blocks of at most 32 rows.
+        assert any(rows < 200 for rows, _ in calls)
+        assert all(rows == 1 or rows * n_grid <= block for rows, n_grid in calls)
 
     # m = 64, p = 6: the start grid 4(m+1) = 260 is below 6m = 384, and 520
     # is the first grid on the doubling ladder that integrates |t|^6 exactly.
