@@ -1,5 +1,6 @@
 """Worst-case approximation of convolution classes by trigonometric
-polynomials: exact at p = q = 2, else a lower estimate by a harmonic scan.
+polynomials: exact at p = q = 2, else a closed-form lower estimate from the
+harmonics just above degree n.
 """
 
 import math
@@ -8,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimensionError, InvalidExponentError, TruncationExceededError
-from .fourier import _multiplier_rows, convolution_constant, default_grid_size, synthesize_rows
+from .fourier import convolution_constant
 # best_approx is also looked up as classes.best_approx.
-from .norms import best_approx, best_approx_rows  # noqa: F401
+from .norms import best_approx  # noqa: F401
 
 
 def _check_degree(n):
@@ -54,25 +55,20 @@ class SearchReport:
 def en_lower_search(kernel, p, q, n):
     """Lower estimate of the worst-case T_n error over K * U_p in L_q.
 
-    The largest best_approx error of K * phi / ||phi||_p over the harmonics
-    phi = cos kx, k = n+1..n+8 up to the truncation, scored in one batch:
-    the closed-form ||cos kx||_p, one synthesis and one batched best_approx on
-    the grid sized for degree min(max(2n, n+8), truncation).  The value is the exact
-    grid error of one unit-norm member of the class, or 0 when no harmonic
-    lies within the truncation.  Returns a SearchReport.
+    The largest exact error of the unit-norm members K * cos kx / ||cos||_p,
+    k = n+1..n+8 up to the truncation (0 when none lies within it):
+    convolution_constant() lambda_k ||cos||_q / ||cos||_p, as for k > n the
+    best L_q approximation of cos kx from T_n is 0.  Proof: the best
+    approximations form a convex set that x -> x + 2pi/k maps onto itself;
+    averaging one over those k shifts leaves a constant c, also a best
+    approximation; x -> x + pi/k maps cos kx to -cos kx, so -c is one too,
+    and by convexity so is 0.  Returns a SearchReport.
     """
     _check_degree(n)
     if not (1 <= p < np.inf and 1 < q < np.inf):
         raise InvalidExponentError(f"need 1 <= p < inf and 1 < q < inf, got p={p}, q={q}")
-    ks = np.arange(n + 1, min(n + 9, kernel.truncation + 1))
-    if not len(ks):
-        return SearchReport(0.0, 0, "none")
-    grid = default_grid_size(min(max(2 * n, n + 8), kernel.truncation))
-    rows = np.zeros((len(ks), 2 * ks[-1] + 1))
-    rows[np.arange(len(ks)), ks] = 1.0
-    image = convolution_constant() * _multiplier_rows(kernel, rows) / _cos_lp_norm(p)
-    errors = best_approx_rows(synthesize_rows(image, grid), n, q)[0]
-    i = int(np.argmax(errors))
-    if errors[i] > 0.0:
-        return SearchReport(float(errors[i]), len(ks), "harmonic", int(ks[i]))
-    return SearchReport(0.0, len(ks), "none")
+    lam = kernel.lambdas(min(n + 8, kernel.truncation))[n:]  # lambda_k, k = n+1..min(n+8, truncation)
+    value = convolution_constant() * float(np.max(lam, initial=0.0)) * _cos_lp_norm(q) / _cos_lp_norm(p)
+    if value > 0.0:
+        return SearchReport(value, len(lam), "harmonic", n + 1 + int(np.argmax(lam)))
+    return SearchReport(0.0, len(lam), "none")

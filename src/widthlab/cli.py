@@ -133,11 +133,18 @@ def _require(config, *keys):
             raise ConfigError(f"{key!r} must be nonempty")
 
 
+def _kernel_parameters(config):
+    """The kernel parameters r, mu and gamma that are set; each must be finite."""
+    params = {key: config[key] for key in ("r", "mu", "gamma") if config[key] is not None}
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{key!r} must be finite, got {value!r}")
+    return params
+
+
 def _kernel_from_config(config):
     from .fourier import Exponential, MultiplierKernel, PolyLog, Polynomial
-    for key in ("r", "mu", "gamma"):
-        if not math.isfinite(config[key]):
-            raise ConfigError(f"{key!r} must be finite, got {config[key]!r}")
+    _kernel_parameters(config)
     family = config["family"]
     if family == "polylog":
         # rho is not a setting: the catalog's polylog rows assume (1/p - 1/q)_+.
@@ -257,10 +264,7 @@ def run_catalog(config):
         records = catalog_records()
     else:
         _require(config, "family", "p", "q")
-        params = {
-            k: config[k] for k in ("r", "mu", "gamma") if config[k] is not None
-        }
-        records = [catalog_record(config["family"], config["p"], config["q"], **params)]
+        records = [catalog_record(config["family"], config["p"], config["q"], **_kernel_parameters(config))]
     rows = [
         (
             rec["family"],

@@ -95,6 +95,8 @@ def _small_smoothness_beta(p, q):
 
 def _sobolev_regime(p, q, r):
     """Classify a Sobolev cell into a table row tag, or raise."""
+    if r is None:
+        raise UncoveredRegimeError("sobolev family needs r")
     if q < p:
         if r > 0:
             return "sobolev q<p"
@@ -182,16 +184,11 @@ def optimality_verdict(family, p, q, r=None, mu=None, gamma=None):
     er = en_rate(family, p, q, r=r, mu=mu, gamma=gamma)
     critical_beta = None
     if family == "sobolev":
+        # Optimal exactly where the width and the T_n error share an order.
         regime = _sobolev_regime(p, q, r)
-        if regime in ("sobolev q<p", "sobolev p<=q<=2"):
-            optimal = "optimal"
-        elif regime in ("sobolev p<=2<=q", "sobolev 2<=p<=q", "small-smoothness p<2<q"):
-            optimal = "not-optimal"
-        else:  # small smoothness, 2 <= p <= q: decided by exponent comparison
+        optimal = "optimal" if wr.same_order(er) else "not-optimal"
+        if regime == "small-smoothness 2<=p<=q":
             critical_beta = _small_smoothness_beta(p, q)
-            optimal = "optimal" if wr.same_order(er) else "not-optimal"
-        if regime == "small-smoothness p<2<q":
-            critical_beta = None
     elif family == "exponential":
         if r >= 1.0:
             regime = "analytic-entire"

@@ -238,7 +238,8 @@ def test_criterion_09_rate_fit_recovery():
 GOLDEN_SOBOLEV = {
     (1.5, 1.2): "optimal", (4.0, 2.0): "optimal",
     (1.5, 1.8): "optimal", (1.2, 2.0): "optimal",
-    (1.5, 3.0): "not-optimal", (2.5, 4.0): "not-optimal", (3.0, 3.0): "not-optimal",
+    # At p = q, d_n(W^r_p, L_p) and E_n are both n^-r (Pinkus 1985, ch. VII).
+    (1.5, 3.0): "not-optimal", (2.5, 4.0): "not-optimal", (3.0, 3.0): "optimal",
 }
 
 GOLDEN_EXP_SMALL_R = {

@@ -128,15 +128,16 @@ class TestExitCodes:
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
 
-    def test_solver_cap_in_approx_exits_3(self, tmp_path, monkeypatch):
+    def test_solver_cap_in_widths_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(widthlab.norms, "IRLS_MAX_ITER", 1)
         out = tmp_path / "out"
-        args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8"]
+        args = ["widths", "--m", "5", "--n-list", "2", "--p", "1", "--q", "1.5", "--restarts", "2"]
         assert run(args + ["--out", str(out)]) == 3
         report = json.loads(read(out / "report.json"))["report"]
-        assert report["nonconvergence"] is True
-        assert report["diagnostics"]["iterations"] == 1
-        assert report["diagnostics"]["q"] == 3.0
+        assert report == {"nonconvergence": True, "diagnostics": {"m": 5, "n": 2, "q": 1.5}}
+        # approx runs no solver, so the cap cannot stop it.
+        args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8"]
+        assert run(args + ["--out", str(tmp_path / "approx")]) == 0
 
 
 def run_fresh(code):
@@ -416,6 +417,40 @@ class TestCatalogCommand:
 
     def test_missing_family_is_config_error(self, tmp_path):
         assert run(["catalog", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "sobolev", "--p", "1.5", "--q", "3"],
+            ["--family", "sobolev", "--p", "3", "--q", "1.5"],
+            ["--family", "sobolev", "--r", "inf", "--p", "1.5", "--q", "3"],
+            ["--family", "exponential", "--mu", "nan", "--r", "0.5", "--p", "1.5", "--q", "3"],
+            ["--family", "polylog", "--gamma=-inf", "--p", "1.5", "--q", "3"],
+        ],
+        ids=["sobolev-no-r-q-above-p", "sobolev-no-r-q-below-p", "sobolev-r-inf", "exponential-mu-nan",
+             "polylog-gamma-minus-inf"],
+    )
+    def test_malformed_cell_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(["catalog", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["approx", "catalog"])
+def test_non_finite_kernel_parameter_in_a_config_file(tmp_path, capsys, subcommand):
+    """JSON's bare NaN and Infinity reach both runners' one finiteness check."""
+    config = {"family": "sobolev", "r": math.inf, "gamma": math.nan, "p": 1.5, "q": 3}
+    if subcommand == "approx":
+        config["n_list"] = [8]
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run([subcommand, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: 'r' must be finite") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestApproxCommand:

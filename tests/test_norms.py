@@ -295,6 +295,8 @@ class TestLqSolver:
         q=st.floats(1.2, 8.0),
     )
     @example(seed=80, shape=(2, 0), q=1.201171875)
+    # The IRLS stalls on this draw (ROADMAP D14); the fix removes the marker.
+    @example(seed=798857990, shape=(11, 10), q=1.203125).xfail(raises=NonconvergenceError, reason="ROADMAP D14")
     def test_first_order_condition_and_no_worse_than_the_partial_sum(self, seed, shape, q):
         degree, n = shape
         f = synthesize(random_poly(np.random.default_rng(seed), degree), 256)

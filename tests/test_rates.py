@@ -109,6 +109,12 @@ class TestOptimalityVerdict:
         assert optimality_verdict("sobolev", 1.5, 3.0, r=1.0).optimal == "not-optimal"
         assert optimality_verdict("sobolev", 2.5, 3.0, r=1.0).optimal == "not-optimal"
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 6.0])
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    def test_sobolev_p_equals_q_optimal(self, p, r):
+        # d_n(W^r_p, L_p) and E_n are both n^-r (Pinkus 1985, ch. VII).
+        assert optimality_verdict("sobolev", p, p, r=r).optimal == "optimal"
+
     def test_exponential_not_optimal(self):
         assert (
             optimality_verdict("exponential", 3.0, 3.0, mu=1.0, r=0.5).optimal
