@@ -2,7 +2,8 @@
 classes, Kolmogorov widths of l_p balls, and asymptotic rate checks.
 
 Names and submodules load on first use (PEP 562), so a run that needs only
-the closed forms or the rate fit (``rates``) never imports numpy.
+the closed forms, the rate fit (``rates``) or the kernel model and its
+closed-form errors (``classes``) never imports numpy.
 """
 
 import importlib
@@ -10,15 +11,17 @@ import importlib
 __version__ = "0.1.0"
 
 _HOMES = {
-    "classes": ("SearchReport", "en_exact_l2", "en_lower_search"),
+    "classes": (
+        "Exponential", "MultiplierKernel", "PolyLog", "Polynomial", "SearchReport", "convolution_constant",
+        "en_exact_l2", "en_lower_search",
+    ),
     "errors": (
         "ConfigError", "DegenerateDataError", "DimensionGuardError", "GridTooCoarseError",
         "InvalidDimensionError", "InvalidExponentError", "NonconvergenceError", "OutOfBranchError",
         "TruncationExceededError", "UncoveredRegimeError", "WidthlabError",
     ),
     "fourier": (
-        "Exponential", "GridFunction", "MultiplierKernel", "PolyLog", "Polynomial", "TrigPoly",
-        "analyze", "apply_multiplier", "convolution_constant", "default_grid_size", "eval_poly", "synthesize",
+        "GridFunction", "TrigPoly", "analyze", "apply_multiplier", "default_grid_size", "eval_poly", "synthesize",
     ),
     "norms": ("best_approx", "lp_norm", "mz_ratio_stats", "poly_lp_norm"),
     "rates": (

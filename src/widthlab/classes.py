@@ -1,17 +1,125 @@
-"""Worst-case approximation of convolution classes by trigonometric
-polynomials: exact at p = q = 2, else a closed-form lower estimate from the
-harmonics just above degree n.
+"""Convolution classes K * U_p: the kernel model, and worst-case approximation
+by trigonometric polynomials, exact at p = q = 2, else a closed-form lower
+estimate from the harmonics just above degree n.
+
+The coefficients come from `math`, one at a time, so nothing here imports
+numpy; `fourier` turns them into an array where it needs one.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
-import numpy as np
+from .errors import InvalidDimensionError, InvalidExponentError
 
-from .errors import InvalidDimensionError, InvalidExponentError, TruncationExceededError
-from .fourier import convolution_constant
-# best_approx is also looked up as classes.best_approx.
-from .norms import best_approx  # noqa: F401
+
+def __getattr__(name):
+    # classes.best_approx is norms.best_approx, resolved on each lookup (never
+    # cached here), so importing classes loads no numpy and a patched
+    # norms.best_approx shows through.
+    if name == "best_approx":
+        from .norms import best_approx
+        return best_approx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+class Polynomial:
+    """lambda_k = k^{-r}; monotone in k."""
+
+    monotone = True
+
+    def __init__(self, r):
+        self.r = float(r)
+
+    def coefficient(self, k):
+        return k ** -self.r
+
+
+class PolyLog:
+    """lambda_k = k^{-rho} * ln(k+1)^{-gamma}; monotone in k unless rho and
+    gamma have opposite signs.
+
+    ln(k+1) rather than ln k keeps lambda_1 finite; same asymptotic order.
+    """
+
+    def __init__(self, rho, gamma):
+        self.rho = float(rho)
+        self.gamma = float(gamma)
+        self.monotone = self.rho * self.gamma >= 0.0
+
+    def coefficient(self, k):
+        return k ** -self.rho * math.log(k + 1) ** -self.gamma
+
+
+class Exponential:
+    """lambda_k = exp(-mu * k^r); monotone in k."""
+
+    monotone = True
+
+    def __init__(self, mu, r):
+        self.mu = float(mu)
+        self.r = float(r)
+
+    def coefficient(self, k):
+        return math.exp(-self.mu * k**self.r)
+
+
+@dataclass(frozen=True)
+class MultiplierKernel:
+    """Coefficient decay family (Polynomial, PolyLog or Exponential) cut off
+    after `truncation` harmonics.
+
+    A coefficient that overflows raises InvalidExponentError.  Construction
+    evaluates lambda_1 and lambda_truncation, so no later one overflows: a
+    monotone family peaks at one of them, and for k >= 2 a PolyLog with rho
+    and gamma of opposite signs is at most its growing factor, which peaks at
+    the truncation.
+    """
+
+    family: Polynomial | PolyLog | Exponential
+    truncation: int
+
+    def __post_init__(self):
+        if self.truncation < 1:
+            raise InvalidDimensionError(f"'truncation' must be >= 1, got {self.truncation}")
+        self.coefficient(1)
+        self.coefficient(self.truncation)
+
+    def coefficient(self, k):
+        try:
+            lam = self.family.coefficient(k)
+        except OverflowError:
+            lam = math.inf
+        if lam == math.inf:
+            raise InvalidExponentError(f"kernel coefficient lambda_{k} overflows")
+        return lam
+
+    def lambdas(self, n=None):
+        """lambda_1..lambda_n, by default up to the truncation."""
+        if n is None:
+            n = self.truncation
+        return [self.coefficient(k) for k in range(1, n + 1)]
+
+    def tail_max(self, n):
+        """max lambda_k over n < k <= truncation, for 0 <= n < truncation."""
+        if self.family.monotone:
+            return max(self.coefficient(n + 1), self.coefficient(self.truncation))
+        return self._tail_maxima[self.truncation - n - 1]
+
+    @cached_property
+    def _tail_maxima(self):
+        # At index i, max lambda_k over k >= truncation - i: one pass down.
+        return list(accumulate(map(self.coefficient, range(self.truncation, 0, -1)), max))
+
+
+def convolution_constant():
+    """Ratio of convolution coefficients to the raw multiplier action.
+
+    Convolving with cos kx integrates cos^2 to pi over a period,
+    against the convolution's 1/2pi, so every coefficient comes out halved.
+    """
+    return 0.5
 
 
 def _check_degree(n):
@@ -29,15 +137,13 @@ def en_exact_l2(kernel, n):
     """Worst-case L_2 error of the degree-n partial sum over K * U_2.
 
     Equals the convolution constant times the largest coefficient beyond
-    degree n (for nonincreasing coefficients that is lambda_{n+1}).
+    degree n (for nonincreasing coefficients that is lambda_{n+1}); 0 for
+    n >= truncation, where the class lies in T_n.
     """
     _check_degree(n)
     if n >= kernel.truncation:
-        raise TruncationExceededError(
-            f"n={n} not below kernel truncation {kernel.truncation}"
-        )
-    lam = kernel.lambdas()
-    return convolution_constant() * float(np.max(lam[n:]))
+        return 0.0
+    return convolution_constant() * kernel.tail_max(n)
 
 
 @dataclass(frozen=True)
@@ -65,10 +171,11 @@ def en_lower_search(kernel, p, q, n):
     and by convexity so is 0.  Returns a SearchReport.
     """
     _check_degree(n)
-    if not (1 <= p < np.inf and 1 < q < np.inf):
+    if not (1 <= p < math.inf and 1 < q < math.inf):
         raise InvalidExponentError(f"need 1 <= p < inf and 1 < q < inf, got p={p}, q={q}")
-    lam = kernel.lambdas(min(n + 8, kernel.truncation))[n:]  # lambda_k, k = n+1..min(n+8, truncation)
-    value = convolution_constant() * float(np.max(lam, initial=0.0)) * _cos_lp_norm(q) / _cos_lp_norm(p)
+    lam = [kernel.coefficient(k) for k in range(n + 1, min(n + 8, kernel.truncation) + 1)]
+    best = max(lam, default=0.0)
+    value = convolution_constant() * best * _cos_lp_norm(q) / _cos_lp_norm(p)
     if value > 0.0:
-        return SearchReport(value, len(lam), "harmonic", n + 1 + int(np.argmax(lam)))
+        return SearchReport(value, len(lam), "harmonic", n + 1 + lam.index(best))
     return SearchReport(0.0, len(lam), "none")

@@ -143,7 +143,7 @@ def _kernel_parameters(config):
 
 
 def _kernel_from_config(config):
-    from .fourier import Exponential, MultiplierKernel, PolyLog, Polynomial
+    from .classes import Exponential, MultiplierKernel, PolyLog, Polynomial
     _kernel_parameters(config)
     family = config["family"]
     if family == "polylog":

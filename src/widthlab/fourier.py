@@ -1,4 +1,5 @@
-"""Trigonometric polynomials, multiplier kernels and their spectral action.
+"""Trigonometric polynomials, their grid samples, and a multiplier kernel's
+spectral action (the kernels and their coefficients live in `classes`).
 
 Everything is real-valued and lives on the circle [0, 2pi) with the
 unnormalized Lebesgue measure.  A degree-n polynomial is stored by its
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridTooCoarseError, InvalidDimensionError, TruncationExceededError
+from .errors import GridTooCoarseError, TruncationExceededError
 
 
 def _freeze(arr):
@@ -79,63 +80,6 @@ class GridFunction:
     @property
     def grid(self):
         return 2.0 * np.pi * np.arange(self.size) / self.size
-
-
-class Polynomial:
-    """lambda_k = k^{-r}."""
-
-    def __init__(self, r):
-        self.r = float(r)
-
-    def lambdas(self, n):
-        return np.arange(1, n + 1, dtype=float) ** (-self.r)
-
-
-class PolyLog:
-    """lambda_k = k^{-rho} * ln(k+1)^{-gamma}.
-
-    ln(k+1) rather than ln k keeps lambda_1 finite; same asymptotic order.
-    """
-
-    def __init__(self, rho, gamma):
-        self.rho = float(rho)
-        self.gamma = float(gamma)
-
-    def lambdas(self, n):
-        k = np.arange(1, n + 1, dtype=float)
-        return k ** (-self.rho) * np.log(k + 1.0) ** (-self.gamma)
-
-
-class Exponential:
-    """lambda_k = exp(-mu * k^r)."""
-
-    def __init__(self, mu, r):
-        self.mu = float(mu)
-        self.r = float(r)
-
-    def lambdas(self, n):
-        k = np.arange(1, n + 1, dtype=float)
-        return np.exp(-self.mu * k**self.r)
-
-
-@dataclass(frozen=True)
-class MultiplierKernel:
-    """Coefficient decay family (Polynomial, PolyLog or Exponential) cut off
-    after `truncation` harmonics."""
-
-    family: Polynomial | PolyLog | Exponential
-    truncation: int
-
-    def __post_init__(self):
-        if self.truncation < 1:
-            raise InvalidDimensionError(f"'truncation' must be >= 1, got {self.truncation}")
-        if np.any(self.family.lambdas(min(self.truncation, 64)) < 0):
-            raise ValueError("multiplier coefficients must be nonnegative")
-
-    def lambdas(self, n=None):
-        if n is None:
-            n = self.truncation
-        return self.family.lambdas(n)
 
 
 def eval_poly(t, x):
@@ -212,7 +156,7 @@ def _multiplier_rows(kernel, coeffs):
         raise TruncationExceededError(
             f"degree {degree} exceeds kernel truncation {kernel.truncation}"
         )
-    lam = kernel.lambdas(degree)
+    lam = np.asarray(kernel.lambdas(degree))
     a, b = coeffs[..., 1 : degree + 1], coeffs[..., degree + 1 :]
     return np.concatenate((np.zeros_like(coeffs[..., :1]), lam * a, lam * b), axis=-1)
 
@@ -221,12 +165,3 @@ def apply_multiplier(kernel, phi):
     """Coefficientwise multiplier action; the constant term is dropped (the
     harmonic sums start at k=1)."""
     return TrigPoly.from_coeffs(_multiplier_rows(kernel, phi.coeff_vector()))
-
-
-def convolution_constant():
-    """Ratio of convolution coefficients to the raw multiplier action.
-
-    Convolving with cos kx integrates cos^2 to pi over a period,
-    against the convolution's 1/2pi, so every coefficient comes out halved.
-    """
-    return 0.5

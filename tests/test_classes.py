@@ -2,31 +2,98 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from widthlab import (
-    MultiplierKernel,
+    InvalidExponentError,
     OutOfBranchError,
-    PolyLog,
     TrigPoly,
-    TruncationExceededError,
     best_approx,
-    convolution_constant,
     en_exact_l2,
     en_lower_search,
     lower_bound_pipeline,
     synthesize,
 )
 from widthlab import classes, fourier, norms
+from widthlab.classes import Exponential, MultiplierKernel, PolyLog, Polynomial, convolution_constant
 from widthlab.rates import M_CAP
-from widthlab.fourier import Exponential, Polynomial, analyze, apply_multiplier
+from widthlab.fourier import analyze, apply_multiplier
 from widthlab.norms import lp_norm, poly_lp_norm
 
 
 def cos_norm(r):
     """||cos||_r over [0, 2pi), from int |cos x|^r dx = 2 sqrt(pi) G((r+1)/2) / G(r/2+1)."""
     return (2 * math.sqrt(math.pi) * math.gamma((r + 1) / 2) / math.gamma(r / 2 + 1)) ** (1 / r)
+
+
+class TestKernelCoefficients:
+    # Relative error of a coefficient against a 40-digit mpmath value, in
+    # units of 2^-52 times max(1, mu k^r): exp(-x) inherits the argument's
+    # rounding as x times its relative error.  Fixed before this test from
+    # 200,000 draws over the ranges below (k <= 10^6, normal results): the
+    # largest error was 0.50 (Polynomial), 2.2 (PolyLog) and 1.1
+    # (Exponential), and numpy's array loops were no closer.
+    ULPS = 4.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 10**6),
+        family=st.one_of(
+            st.builds(Polynomial, st.floats(-3.0, 4.0)),
+            st.builds(PolyLog, st.floats(-1.0, 2.0), st.floats(-3.0, 3.0)),
+            st.builds(Exponential, st.floats(0.01, 2.0), st.floats(0.2, 1.5)),
+        ),
+    )
+    def test_match_mpmath(self, k, family):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            kk = mpmath.mpf(k)
+            scale = 1.0
+            if isinstance(family, Polynomial):
+                exact = kk ** -mpmath.mpf(family.r)
+            elif isinstance(family, PolyLog):
+                exact = kk ** -mpmath.mpf(family.rho) * mpmath.log(kk + 1) ** -mpmath.mpf(family.gamma)
+            else:
+                x = mpmath.mpf(family.mu) * kk ** mpmath.mpf(family.r)
+                exact, scale = mpmath.exp(-x), max(1.0, float(x))
+            assume(1e-300 < exact < 1e300)
+            value = MultiplierKernel(family, truncation=k).coefficient(k)
+            error = float(abs(value - exact) / exact)
+        assert error <= self.ULPS * 2.0**-52 * scale
+
+    @pytest.mark.parametrize(
+        "family, k",
+        [
+            (Exponential(-20.0, 1.0), 41), (Polynomial(-400.0), 9), (PolyLog(0.0, 5000.0), 1),
+            (PolyLog(1.0 / 3.0, -400.0), 4096), (PolyLog(-400.0, 1.0), 9), (PolyLog(-100.0, -300.0), 1000),
+            (Exponential(-700.0, 51.0), 10**6),
+        ],
+        ids=["exponential-growth", "sobolev-growth", "polylog-first", "polylog-log-growth",
+             "polylog-power-growth", "polylog-inf-product", "exponential-inf-argument"],
+    )
+    def test_overflow_is_invalid_exponent(self, family, k):
+        # Construction evaluates lambda_1 and lambda_truncation, which bound
+        # every other coefficient (see MultiplierKernel).
+        with pytest.raises(InvalidExponentError, match=f"lambda_{k} overflows"):
+            MultiplierKernel(family, truncation=k)
+
+    @pytest.mark.parametrize("n", [0, 8, 10**6, 10**15])
+    def test_scan_evaluates_at_most_eight_coefficients(self, monkeypatch, n):
+        kernel = MultiplierKernel(Polynomial(1.0), truncation=10**18)
+        evaluated = []
+        coefficient = Polynomial.coefficient
+
+        def counted(family, k):
+            evaluated.append(k)
+            return coefficient(family, k)
+
+        monkeypatch.setattr(Polynomial, "coefficient", counted)
+        search = en_lower_search(kernel, 1.5, 3.0, n)
+        assert evaluated == list(range(n + 1, n + 9)) and search.evaluated == 8
+        evaluated.clear()
+        assert en_exact_l2(kernel, n) == pytest.approx(0.5 / (n + 1), rel=1e-15)
+        assert evaluated == [n + 1, 10**18]
 
 
 class TestEnExactL2:
@@ -40,9 +107,27 @@ class TestEnExactL2:
         assert en_exact_l2(kernel, 3) == pytest.approx(0.5 * math.exp(-4))
 
     def test_truncation_guard(self):
+        # For n >= truncation the class lies in T_n, as the scan also reports.
         kernel = MultiplierKernel(Polynomial(0.0), truncation=4)
-        with pytest.raises(TruncationExceededError):
-            en_exact_l2(kernel, 4)
+        assert en_exact_l2(kernel, 4) == en_exact_l2(kernel, 9) == 0.0
+        assert en_lower_search(kernel, 1.5, 3.0, 4).value == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 80),
+        extra=st.integers(1, 120),
+        family=st.one_of(
+            st.builds(Polynomial, st.floats(-2.0, 3.0)),
+            st.builds(Exponential, st.floats(-0.5, 2.0), st.floats(-1.0, 1.2)),
+            # A PolyLog with rho * gamma < 0 is the one kernel not monotone in k.
+            st.builds(PolyLog, st.floats(-1.0, 1.0), st.floats(-3.0, 2.0)),
+        ),
+    )
+    # lambda_k = ln(k+1)^3 / k peaks near k = 19, inside the range.
+    @example(n=0, extra=60, family=PolyLog(1.0, -3.0))
+    def test_matches_the_full_list_max(self, n, extra, family):
+        kernel = MultiplierKernel(family, truncation=n + extra)
+        assert en_exact_l2(kernel, n) == 0.5 * max(kernel.lambdas()[n:])
 
     def test_nonincreasing_in_n(self):
         kernel = MultiplierKernel(PolyLog(0.5, 1.0), truncation=128)

@@ -156,8 +156,9 @@ def write_series(path, pairs):
 
 class TestImportGraph:
     def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
-        """In one new interpreter: the closed-form and fit runs leave numpy
-        unloaded, the runs that need it still succeed, and nothing loads scipy."""
+        """In one new interpreter: the closed-form, fit and approx runs leave
+        numpy unloaded, the runs that need it still succeed, and nothing loads
+        scipy."""
         data = tmp_path / "data.csv"
         write_series(data, [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128, 256, 512)])
         numpy_free = [
@@ -170,11 +171,12 @@ class TestImportGraph:
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "1.5"],
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "3"],
             ["fit", "--input", str(data)],
+            ["approx", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3", "--n-list", "8"],
+            ["approx", "--family", "polylog", "--gamma", "1", "--n-list", "8", "16"],
         ]
         with_numpy = [
             ["widths", "--m", "4", "--n-list", "2", "--p", "1.5", "--q", "3", "--restarts", "2"],
             ["mz", "--m-list", "4", "--p-list", "1.5", "--trials", "5"],
-            ["approx", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3", "--n-list", "8"],
         ]
         runs = [args if args[0].startswith("--") else args + ["--out", str(tmp_path / str(i))]
                 for i, args in enumerate(numpy_free + with_numpy)]
@@ -256,18 +258,19 @@ class TestImportGraph:
         assert proc.stdout == "[0, 0, 0]\n"
 
 
-# The eager namespace of widthlab before its names were made lazy, by the
-# module each name is defined in.
+# The public names of widthlab, by the module each name is defined in.
 NAMESPACE = {
-    "classes": ["SearchReport", "en_exact_l2", "en_lower_search"],
+    "classes": [
+        "Exponential", "MultiplierKernel", "PolyLog", "Polynomial", "SearchReport", "convolution_constant",
+        "en_exact_l2", "en_lower_search",
+    ],
     "errors": [
         "ConfigError", "DegenerateDataError", "DimensionGuardError", "GridTooCoarseError",
         "InvalidDimensionError", "InvalidExponentError", "NonconvergenceError", "OutOfBranchError",
         "TruncationExceededError", "UncoveredRegimeError", "WidthlabError",
     ],
     "fourier": [
-        "Exponential", "GridFunction", "MultiplierKernel", "PolyLog", "Polynomial", "TrigPoly",
-        "analyze", "apply_multiplier", "convolution_constant", "default_grid_size", "eval_poly", "synthesize",
+        "GridFunction", "TrigPoly", "analyze", "apply_multiplier", "default_grid_size", "eval_poly", "synthesize",
     ],
     "norms": ["best_approx", "lp_norm", "mz_ratio_stats", "poly_lp_norm"],
     "rates": [
@@ -484,6 +487,34 @@ class TestApproxCommand:
         for seed in ("1", "2"):
             assert run(args + ["--seed", seed, "--out", str(tmp_path / seed)]) == 0
         assert read(tmp_path / "1" / "results.csv") == read(tmp_path / "2" / "results.csv")
+
+    def test_degree_at_or_above_the_truncation_is_zero_on_both_paths(self, tmp_path):
+        # There the class lies in T_n, so E_n = 0 exactly.
+        args = ["approx", "--family", "sobolev", "--truncation", "5", "--n-list", "4", "5", "8"]
+        values = {}
+        for path, pq in (("exact-l2", []), ("search", ["--p", "1.5", "--q", "3"])):
+            assert run([*args, *pq, "--out", str(tmp_path / path)]) == 0
+            with open(tmp_path / path / "results.csv", newline="") as fh:
+                values[path] = [float(r["value"]) for r in csv.DictReader(fh)]
+        assert values["exact-l2"][0] > 0.0 and values["search"][0] > 0.0
+        assert values["exact-l2"][1:] == values["search"][1:] == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--family", "exponential", "--mu", "-20", "--r", "1", "--p", "1.5", "--q", "3", "--n-list", "8", "40"],
+            ["--family", "sobolev", "--r", "-400", "--n-list", "8"],
+            ["--family", "polylog", "--gamma", "5000", "--n-list", "8"],
+            ["--family", "polylog", "--gamma", "-400", "--p", "1.5", "--q", "3", "--n-list", "8"],
+        ],
+        ids=["exponential-mu-negative", "sobolev-r-negative", "polylog-lambda-1", "polylog-gamma-negative"],
+    )
+    def test_overflowing_kernel_is_config_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run(["approx", *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kernel coefficient lambda_") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_no_harmonic_within_the_truncation_writes_zero(self, tmp_path):
         args = ["approx", "--truncation", "5", "--n-list", "8", "--p", "1.5", "--q", "3"]
