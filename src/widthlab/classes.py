@@ -7,9 +7,9 @@ numpy; `fourier` turns them into an array where it needs one.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import InvalidDimensionError, InvalidExponentError
 
@@ -65,7 +65,6 @@ class Exponential:
         return math.exp(-self.mu * k**self.r)
 
 
-@dataclass(frozen=True)
 class MultiplierKernel:
     """Coefficient decay family (Polynomial, PolyLog or Exponential) cut off
     after `truncation` harmonics.
@@ -77,14 +76,13 @@ class MultiplierKernel:
     the truncation.
     """
 
-    family: Polynomial | PolyLog | Exponential
-    truncation: int
-
-    def __post_init__(self):
-        if self.truncation < 1:
-            raise InvalidDimensionError(f"'truncation' must be >= 1, got {self.truncation}")
+    def __init__(self, family, truncation):
+        if truncation < 1:
+            raise InvalidDimensionError(f"'truncation' must be >= 1, got {truncation}")
+        self.family = family
+        self.truncation = truncation
         self.coefficient(1)
-        self.coefficient(self.truncation)
+        self.coefficient(truncation)
 
     def coefficient(self, k):
         try:
@@ -127,10 +125,24 @@ def _check_degree(n):
         raise InvalidDimensionError(f"need degree n >= 0, got n={n}")
 
 
+def _check_exponents(p, q):
+    """The (p, q) range of the lower estimate: 1 <= p < inf and 1 < q < inf."""
+    if not (1 <= p < math.inf and 1 < q < math.inf):
+        raise InvalidExponentError(f"need 1 <= p < inf and 1 < q < inf, got p={p}, q={q}")
+
+
 def _cos_lp_norm(p):
     """||cos kx||_p over [0, 2pi), the same for every k >= 1: the p-th root of
-    int |cos x|^p dx = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2+1)."""
-    return (2.0 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)) ** (1.0 / p)
+    int |cos x|^p dx = 2 sqrt(pi) Gamma((p+1)/2) / Gamma(p/2+1).
+
+    Above p = 341 Gamma overflows, and the ratio comes from lgamma instead.
+    """
+    try:
+        integral = 2.0 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+    except OverflowError:
+        log_integral = math.log(2.0 * math.sqrt(math.pi)) + math.lgamma((p + 1) / 2) - math.lgamma(p / 2 + 1)
+        return math.exp(log_integral / p)
+    return integral ** (1.0 / p)
 
 
 def en_exact_l2(kernel, n):
@@ -146,8 +158,7 @@ def en_exact_l2(kernel, n):
     return convolution_constant() * kernel.tail_max(n)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """The value of one en_lower_search, how many harmonics it scored and the
     winner: "harmonic" with its k, or "none" when every harmonic scored 0 or
     none lies within the truncation."""
@@ -171,8 +182,7 @@ def en_lower_search(kernel, p, q, n):
     and by convexity so is 0.  Returns a SearchReport.
     """
     _check_degree(n)
-    if not (1 <= p < math.inf and 1 < q < math.inf):
-        raise InvalidExponentError(f"need 1 <= p < inf and 1 < q < inf, got p={p}, q={q}")
+    _check_exponents(p, q)
     lam = [kernel.coefficient(k) for k in range(n + 1, min(n + 8, kernel.truncation) + 1)]
     best = max(lam, default=0.0)
     value = convolution_constant() * best * _cos_lp_norm(q) / _cos_lp_norm(p)

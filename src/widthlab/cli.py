@@ -12,15 +12,12 @@ Exit codes: 0 ok, 2 config error (also a request too large for memory),
 import argparse
 import csv
 import json
-import logging
 import math
 import os
 import sys
 
 from . import __version__
 from .errors import ConfigError, NonconvergenceError, WidthlabError
-
-logger = logging.getLogger(__name__)
 
 # Per-subcommand config schema: key -> (type, default).  Required keys carry a
 # default of None and must be supplied by config file or flag.
@@ -72,6 +69,14 @@ SCHEMAS = {
 }
 
 COMMON_DEFAULTS = {"seed": 0, "out": ".", "plot": True}
+
+
+def _warn(message):
+    """Log a warning line to stderr.  logging is imported here, on the first
+    warning, so a run that has none never loads it."""
+    import logging
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
+    logging.getLogger(__name__).warning(message)
 
 
 def fmt(x):
@@ -160,10 +165,12 @@ def _kernel_from_config(config):
 
 def run_approx(config):
     """Error E_n of a kernel class: exact at p = q = 2, else a harmonic-scan lower estimate."""
-    from .classes import en_exact_l2, en_lower_search
+    from .classes import _check_exponents, en_exact_l2, en_lower_search
     _require(config, "n_list")
-    kernel = _kernel_from_config(config)
     p, q = config["p"], config["q"]
+    # Before the kernel: its polylog exponent 1/p - 1/q needs p, q != 0.
+    _check_exponents(p, q)
+    kernel = _kernel_from_config(config)
     exact = p == 2.0 and q == 2.0
     n_list = [int(n) for n in config["n_list"]]
 
@@ -240,10 +247,12 @@ def run_pipeline(config):
     _require(config, "n_list")
     n_list = [int(n) for n in config["n_list"]]
 
-    reports = [
-        lower_bound_pipeline(config["gamma"], config["p"], config["q"], n, m_override=config["m_override"])
-        for n in n_list
-    ]
+    reports = []
+    for n in n_list:
+        rep = lower_bound_pipeline(config["gamma"], config["p"], config["q"], n, m_override=config["m_override"])
+        if rep.notes:
+            _warn(f"pipeline {rep.notes} for n={n}, q={config['q']:g}")
+        reports.append(rep)
     rows = []
     for rep in reports:
         rows.append((rep.n, "m_chosen", float(rep.m_chosen)))
@@ -284,7 +293,6 @@ def run_catalog(config):
 
 def run_fit(config):
     """Classify an (n, value) series over its finite n range; it can mislabel, e.g. an exact power law in n + 1."""
-    import dataclasses
     from .rates import fit_rate
     _require(config, "input")
     with open(config["input"], newline="") as fh:
@@ -295,7 +303,8 @@ def run_fit(config):
     model, residual = fit_rate(points)
     rows = [(n, "input", v) for n, v in points]
     rows += [(n, "fitted", float(model(n))) for n, _ in points]
-    report = {"model": {**dataclasses.asdict(model), "describe": model.describe()}, "residual": residual}
+    # _asdict: json would write the NamedTuple itself as an array.
+    report = {"model": {**model._asdict(), "describe": model.describe()}, "residual": residual}
     return rows, ("n", "quantity", "value"), report, _series_from_rows(rows)
 
 
@@ -370,7 +379,7 @@ def write_outputs(out_dir, subcommand, config, rows, header, report, series):
             with open(os.path.join(out_dir, "plot.svg"), "w") as fh:
                 fh.write(doc)
         except Exception as exc:  # plotting is best-effort only
-            logger.warning("plot skipped: %s", exc)
+            _warn(f"plot skipped: {exc}")
 
 
 def build_parser():
@@ -418,7 +427,6 @@ def _read_config(path):
 
 
 def main(argv=None):
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     subcommand = args.subcommand
     overrides = {

@@ -8,8 +8,6 @@ which the trapezoidal rule integrates trig polynomials of degree <= N-1
 exactly.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GridTooCoarseError, TruncationExceededError
@@ -21,21 +19,15 @@ def _freeze(arr):
     return arr
 
 
-@dataclass(frozen=True)
 class TrigPoly:
     """a0 + sum_{k=1}^{degree} a_k cos kx + b_k sin kx."""
 
-    a0: float
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = _freeze(self.a)
-        b = _freeze(self.b)
+    def __init__(self, a0, a, b):
+        a = _freeze(a)
+        b = _freeze(b)
         if a.shape != b.shape or a.ndim != 1:
             raise ValueError("cosine and sine coefficient arrays must match")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        self.a0, self.a, self.b = a0, a, b
 
     @property
     def degree(self):
@@ -61,17 +53,14 @@ class TrigPoly:
         return np.concatenate(([self.a0], self.a, self.b))
 
 
-@dataclass(frozen=True)
 class GridFunction:
     """Samples on the uniform grid x_j = 2pi j / N, j = 0..N-1."""
 
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = _freeze(self.samples)
+    def __init__(self, samples):
+        samples = _freeze(samples)
         if samples.ndim != 1 or len(samples) < 1:
             raise ValueError("samples must be a nonempty 1-d array")
-        object.__setattr__(self, "samples", samples)
+        self.samples = samples
 
     @property
     def size(self):

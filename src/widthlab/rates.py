@@ -8,15 +8,11 @@ logarithmic lower bound built on them.  Everything here, the fit included,
 runs on the standard library alone.
 """
 
-import logging
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DegenerateDataError, DimensionGuardError, InvalidDimensionError, InvalidExponentError
 from .errors import OutOfBranchError, UncoveredRegimeError
-
-logger = logging.getLogger(__name__)
 
 FIT_MIN_POINTS = 6
 FIT_MIN_N = 8
@@ -27,8 +23,7 @@ FIT_XATOL = 1e-12
 R_GRID = [0.05 + i * ((2.0 - 0.05) / 39) for i in range(39)] + [2.0]
 
 
-@dataclass(frozen=True)
-class RateModel:
+class RateModel(NamedTuple):
     """c * n^-a, c * n^-a (ln n)^-g, or c * exp(-mu n^r) n^b."""
 
     kind: str  # 'poly', 'polylog' or 'exp'
@@ -73,8 +68,7 @@ class RateModel:
         )
 
 
-@dataclass(frozen=True)
-class RegimeVerdict:
+class RegimeVerdict(NamedTuple):
     width_rate: RateModel
     en_rate: RateModel
     optimal: str  # 'optimal' or 'not-optimal'
@@ -262,28 +256,22 @@ def catalog_records():
 DESK_SCALE_MAX_DIM = 8
 
 
-@dataclass(frozen=True)
 class BallWidthInstance:
     """Width of B_p^m in l_q^m approximated by n-dimensional subspaces."""
 
-    m: int
-    n: int
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not 0 <= self.n <= self.m:
-            raise InvalidDimensionError(f"need 0 <= n <= m, got n={self.n}, m={self.m}")
-        if self.p < 1 or self.q < 1:
+    def __init__(self, m, n, p, q):
+        if not 0 <= n <= m:
+            raise InvalidDimensionError(f"need 0 <= n <= m, got n={n}, m={m}")
+        if p < 1 or q < 1:
             raise InvalidExponentError("exponents must be >= 1")
+        self.m, self.n, self.p, self.q = m, n, p, q
 
 
-@dataclass(frozen=True)
-class WidthEstimate:
+class WidthEstimate(NamedTuple):
     value: float
     direction: str  # 'upper-bound' or 'two-sided' (exact)
     method: str
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 def phi_gluskin(inst):
@@ -340,8 +328,7 @@ def closed_form_width(inst):
 M_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     n: int
     m_chosen: int
     log_factor: float
@@ -353,9 +340,10 @@ class PipelineReport:
 def lower_bound_pipeline(gamma, p, q, n, m_override=None):
     """Logarithmic lower bound via projection, sampling and the finite width.
 
-    Chooses m = ceil(n^{q/2}) unless overridden, then multiplies the sampling
-    log factor (ln m)^{-gamma} by the closed-form finite-ball width order.
-    Needs a finite gamma >= 0 and m > n.
+    Chooses m = ceil(n^{q/2}) unless overridden, capped at M_CAP with a
+    line in `notes`, then multiplies the sampling log factor (ln m)^{-gamma}
+    by the closed-form finite-ball width order.  Needs a finite gamma >= 0
+    and m > n.
     """
     in_branch_one = 2.0 <= p <= q < math.inf
     in_branch_two = 1.0 < p < 2.0 <= q < math.inf
@@ -374,7 +362,6 @@ def lower_bound_pipeline(gamma, p, q, n, m_override=None):
         if m > M_CAP:
             m = M_CAP
             notes.append(f"m capped at {M_CAP}")
-            logger.warning("pipeline m capped at %d for n=%d, q=%g", M_CAP, n, q)
     if m <= n:
         raise OutOfBranchError(f"pipeline needs m > n, got m={m}, n={n}")
     log_factor = math.log(m) ** (-gamma)

@@ -173,6 +173,16 @@ class TestCosLpNorm:
         # At even p the quadrature is exact on its first grid.
         assert classes._cos_lp_norm(p) == pytest.approx(poly_lp_norm(TrigPoly.harmonic(k), p), rel=1e-14)
 
+    @pytest.mark.parametrize("p", [341.0, 400.0, 1e6])
+    def test_matches_mpmath_where_gamma_overflows(self, p):
+        # math.gamma(p/2 + 1) overflows from p = 342 on; 341 is the last integer p of the gamma form.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            pp = mpmath.mpf(p)
+            integral = 2 * mpmath.sqrt(mpmath.pi) * mpmath.gamma((pp + 1) / 2) / mpmath.gamma(pp / 2 + 1)
+            exact = float(integral ** (1 / pp))
+        assert classes._cos_lp_norm(p) == pytest.approx(exact, rel=1e-15)
+
 
 class TestEnLowerSearch:
     def test_agrees_with_exact_l2(self):

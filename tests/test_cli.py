@@ -157,8 +157,8 @@ def write_series(path, pairs):
 class TestImportGraph:
     def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
         """In one new interpreter: the closed-form, fit and approx runs leave
-        numpy unloaded, the runs that need it still succeed, and nothing loads
-        scipy."""
+        numpy unloaded, the runs that need it still succeed, nothing loads
+        scipy, and no run without a warning loads dataclasses or logging."""
         data = tmp_path / "data.csv"
         write_series(data, [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128, 256, 512)])
         numpy_free = [
@@ -167,7 +167,8 @@ class TestImportGraph:
             ["catalog", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3"],
             ["catalog", "--all"],
             ["pipeline", "--gamma", "1", "--p", "1.5", "--q", "3", "--n-list", "8", "12"],
-            ["widths", "--m", "5", "--n-list", "0", "5", "--p", "1.5", "--q", "3"],
+            # --no-plot: this plot has no positive point, and its warning would load logging.
+            ["widths", "--m", "5", "--n-list", "0", "5", "--p", "1.5", "--q", "3", "--no-plot"],
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "1.5"],
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "3"],
             ["fit", "--input", str(data)],
@@ -183,7 +184,8 @@ class TestImportGraph:
         proc = run_fresh(
             "import contextlib, io, sys\n"
             "import widthlab\n"
-            "print('import', 'numpy' in sys.modules)\n"
+            "unused = lambda: not any(m in sys.modules for m in ('dataclasses', 'logging'))\n"
+            "print('import', 'numpy' in sys.modules, unused())\n"
             "from widthlab.cli import main\n"
             f"for args in {runs!r}:\n"
             "    try:\n"
@@ -191,13 +193,13 @@ class TestImportGraph:
             "            code = main(args)\n"
             "    except SystemExit as exc:\n"
             "        code = exc.code\n"
-            "    print(args[0], code, 'numpy' in sys.modules)\n"
+            "    print(args[0], code, 'numpy' in sys.modules, unused())\n"
             "print('scipy', 'scipy' in sys.modules)"
         )
         assert proc.returncode == 0, proc.stderr
-        expected = ["import False"]
-        expected += [f"{args[0]} 0 False" for args in numpy_free]
-        expected += [f"{args[0]} 0 True" for args in with_numpy]
+        expected = ["import False True"]
+        expected += [f"{args[0]} 0 False True" for args in numpy_free]
+        expected += [f"{args[0]} 0 True True" for args in with_numpy]
         assert proc.stdout.splitlines() == expected + ["scipy False"]
 
     def test_no_command_starts_a_thread(self, tmp_path):
@@ -343,6 +345,14 @@ class TestPipelineCommand:
         doc_b = json.loads(read(out_b / "report.json"))
         doc_a["config"]["out"] = doc_b["config"]["out"] = ""
         assert doc_a == doc_b
+
+    def test_capped_m_warns_on_stderr(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["pipeline", "--gamma", "1", "--p", "1.5", "--q", "3", "--n-list", "10001", "--out", str(out)]
+        proc = run_fresh(f"import sys\nfrom widthlab.cli import main\nsys.exit(main({args!r}))")
+        assert proc.returncode == 0
+        assert proc.stderr == "WARNING pipeline m capped at 1000000 for n=10001, q=3\n"
+        assert json.loads(read(out / "report.json"))["report"]["notes"] == ["m capped at 1000000"]
 
     def test_empty_n_list_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -524,6 +534,23 @@ class TestApproxCommand:
         report = json.loads(read(tmp_path / "report.json"))["report"]
         assert report["search"] == [{"n": 8, "candidates": 0, "winner": "none", "k": None}]
 
+    def test_empty_plot_warns_on_stderr(self, tmp_path):
+        # n = 8 >= truncation gives the value 0, which the log-scale plot drops.
+        out = tmp_path / "out"
+        args = ["approx", "--truncation", "5", "--n-list", "8", "--out", str(out)]
+        proc = run_fresh(f"import sys\nfrom widthlab.cli import main\nsys.exit(main({args!r}))")
+        assert proc.returncode == 0
+        assert proc.stderr == "WARNING plot skipped: nothing to plot\n"
+        assert (out / "results.csv").exists() and not (out / "plot.svg").exists()
+
+    @pytest.mark.parametrize("pq", [["--p", "400", "--q", "3"], ["--p", "1.5", "--q", "400"]], ids=["p-400", "q-400"])
+    def test_large_exponent_is_finite(self, tmp_path, pq):
+        # math.gamma(p/2 + 1) overflows from p = 342 on; the harmonic norm must not.
+        assert run(["approx", *pq, "--n-list", "8", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            [value] = [float(r["value"]) for r in csv.DictReader(fh)]
+        assert 0.0 < value < math.inf
+
     @pytest.mark.parametrize(
         "args",
         [["--family", "exponential", "--mu", "nan"], ["--family", "sobolev", "--r", "nan"],
@@ -576,13 +603,16 @@ class TestApproxCommand:
             ["--n-list", "-3"],
             ["--p", "1.5", "--q", "3", "--n-list", "-3"],
             ["--p", "inf", "--q", "3", "--n-list", "8", "--truncation", "5"],
+            ["--p", "0", "--q", "3", "--n-list", "8"],
+            ["--p", "1.5", "--q", "0", "--n-list", "8"],
         ],
-        ids=["p-inf", "negative-degree-exact-l2", "negative-degree-search", "p-inf-no-harmonic"],
+        ids=["p-inf", "negative-degree-exact-l2", "negative-degree-search", "p-inf-no-harmonic", "p-zero", "q-zero"],
     )
     def test_out_of_range_input_is_config_error(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         assert run(["approx", *args, "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
 
 
