@@ -7,9 +7,9 @@ numpy; `fourier` turns them into an array where it needs one.
 """
 
 import math
+from collections import namedtuple
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import InvalidDimensionError, InvalidExponentError
 
@@ -74,15 +74,19 @@ class MultiplierKernel:
     monotone family peaks at one of them, and for k >= 2 a PolyLog with rho
     and gamma of opposite signs is at most its growing factor, which peaks at
     the truncation.
+
+    Read-only, so the cached tail maxima cannot go stale.
     """
 
     def __init__(self, family, truncation):
         if truncation < 1:
             raise InvalidDimensionError(f"'truncation' must be >= 1, got {truncation}")
-        self.family = family
-        self.truncation = truncation
+        vars(self).update(family=family, truncation=truncation)
         self.coefficient(1)
         self.coefficient(truncation)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MultiplierKernel is read-only: cannot set {name!r}")
 
     def coefficient(self, k):
         try:
@@ -158,15 +162,12 @@ def en_exact_l2(kernel, n):
     return convolution_constant() * kernel.tail_max(n)
 
 
-class SearchReport(NamedTuple):
+class SearchReport(namedtuple("SearchReport", "value evaluated winner k", defaults=(None,))):
     """The value of one en_lower_search, how many harmonics it scored and the
     winner: "harmonic" with its k, or "none" when every harmonic scored 0 or
     none lies within the truncation."""
 
-    value: float
-    evaluated: int
-    winner: str
-    k: int | None = None
+    __slots__ = ()
 
 
 def en_lower_search(kernel, p, q, n):

@@ -129,6 +129,15 @@ class TestEnExactL2:
         kernel = MultiplierKernel(family, truncation=n + extra)
         assert en_exact_l2(kernel, n) == 0.5 * max(kernel.lambdas()[n:])
 
+    def test_kernel_is_read_only(self):
+        # The non-monotone tail maxima are cached, so a new truncation must not
+        # reach an existing kernel.
+        kernel = MultiplierKernel(PolyLog(1.0, -3.0), truncation=60)
+        before = en_exact_l2(kernel, 0)
+        with pytest.raises(AttributeError, match="read-only"):
+            kernel.truncation = 10
+        assert kernel.truncation == 60 and en_exact_l2(kernel, 0) == before
+
     def test_nonincreasing_in_n(self):
         kernel = MultiplierKernel(PolyLog(0.5, 1.0), truncation=128)
         vals = [en_exact_l2(kernel, n) for n in (1, 4, 16, 64)]

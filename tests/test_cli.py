@@ -158,7 +158,8 @@ class TestImportGraph:
     def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
         """In one new interpreter: the closed-form, fit and approx runs leave
         numpy unloaded, the runs that need it still succeed, nothing loads
-        scipy, and no run without a warning loads dataclasses or logging."""
+        scipy, and no run loads dataclasses or logging.  A run that warns
+        loads logging, so it runs on its own in the next test."""
         data = tmp_path / "data.csv"
         write_series(data, [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128, 256, 512)])
         numpy_free = [
@@ -167,8 +168,6 @@ class TestImportGraph:
             ["catalog", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3"],
             ["catalog", "--all"],
             ["pipeline", "--gamma", "1", "--p", "1.5", "--q", "3", "--n-list", "8", "12"],
-            # --no-plot: this plot has no positive point, and its warning would load logging.
-            ["widths", "--m", "5", "--n-list", "0", "5", "--p", "1.5", "--q", "3", "--no-plot"],
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "1.5"],
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "3"],
             ["fit", "--input", str(data)],
@@ -201,6 +200,23 @@ class TestImportGraph:
         expected += [f"{args[0]} 0 False True" for args in numpy_free]
         expected += [f"{args[0]} 0 True True" for args in with_numpy]
         assert proc.stdout.splitlines() == expected + ["scipy False"]
+
+    def test_skipped_plot_warns_without_numpy(self, tmp_path):
+        """widths at n = 0 and n = m has no point the log-log plot can show:
+        the run exits 0 with one warning, loads logging for it, and still
+        loads neither numpy nor dataclasses."""
+        out = tmp_path / "out"
+        args = ["widths", "--m", "5", "--n-list", "0", "5", "--p", "1.5", "--q", "3", "--out", str(out)]
+        proc = run_fresh(
+            "import sys\n"
+            "from widthlab.cli import main\n"
+            f"code = main({args!r})\n"
+            "print(code, *(m in sys.modules for m in ('numpy', 'dataclasses', 'logging')))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False False True"
+        assert proc.stderr == "WARNING plot skipped: nothing to plot\n"
+        assert (out / "results.csv").exists() and not (out / "plot.svg").exists()
 
     def test_no_command_starts_a_thread(self, tmp_path):
         data = tmp_path / "data.csv"
