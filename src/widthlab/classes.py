@@ -8,8 +8,6 @@ numpy; `fourier` turns them into an array where it needs one.
 
 import math
 from collections import namedtuple
-from functools import cached_property
-from itertools import accumulate
 
 from .errors import InvalidDimensionError, InvalidExponentError
 
@@ -74,19 +72,14 @@ class MultiplierKernel:
     monotone family peaks at one of them, and for k >= 2 a PolyLog with rho
     and gamma of opposite signs is at most its growing factor, which peaks at
     the truncation.
-
-    Read-only, so the cached tail maxima cannot go stale.
     """
 
     def __init__(self, family, truncation):
         if truncation < 1:
             raise InvalidDimensionError(f"'truncation' must be >= 1, got {truncation}")
-        vars(self).update(family=family, truncation=truncation)
+        self.family, self.truncation = family, truncation
         self.coefficient(1)
         self.coefficient(truncation)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MultiplierKernel is read-only: cannot set {name!r}")
 
     def coefficient(self, k):
         try:
@@ -107,12 +100,7 @@ class MultiplierKernel:
         """max lambda_k over n < k <= truncation, for 0 <= n < truncation."""
         if self.family.monotone:
             return max(self.coefficient(n + 1), self.coefficient(self.truncation))
-        return self._tail_maxima[self.truncation - n - 1]
-
-    @cached_property
-    def _tail_maxima(self):
-        # At index i, max lambda_k over k >= truncation - i: one pass down.
-        return list(accumulate(map(self.coefficient, range(self.truncation, 0, -1)), max))
+        return max(map(self.coefficient, range(n + 1, self.truncation + 1)))
 
 
 def convolution_constant():

@@ -19,8 +19,8 @@ import sys
 from . import __version__
 from .errors import ConfigError, NonconvergenceError, WidthlabError
 
-# Per-subcommand config schema: key -> (type, default).  Required keys carry a
-# default of None and must be supplied by config file or flag.
+# Per-subcommand config schema: key -> (type, default).  A default of None
+# leaves the key unset; each runner's _require call names the keys it needs.
 SCHEMAS = {
     "approx": {
         "family": (str, "polylog"),
@@ -183,10 +183,7 @@ def run_approx(config):
             rows.append((n, "en_lower_search", search.value))
             # Per n: harmonics scored, and the winning harmonic k (or none).
             searches.append({"n": n, "candidates": search.evaluated, "winner": search.winner, "k": search.k})
-    report = {
-        "quantities": sorted({r[1] for r in rows}),
-        "upper_path": "exact-l2" if exact else "candidate-search",
-    }
+    report = {"quantities": sorted({r[1] for r in rows})}
     if searches:
         report["search"] = searches
     series = _series_from_rows(rows)
@@ -194,7 +191,7 @@ def run_approx(config):
 
 
 def run_widths(config):
-    """Widths of l_p balls in l_q: exact at n = 0, n = m and q <= p, else a brute-force upper bound."""
+    """Widths of l_p balls in l_q: exact at n = 0, m - 1, m, at q <= p and at (p, q) = (1, 2), else a brute-force upper bound."""
     from .rates import BallWidthInstance, closed_form_width, coordinate_subspace_bound, phi_gluskin
     _require(config, "m", "n_list")
     m, p, q = config["m"], config["p"], config["q"]
@@ -227,15 +224,12 @@ def run_widths(config):
         rows.append((n, "bruteforce_width", est.value))
         rows.append((n, "phi_order", phi))
         rows.append((n, "coordinate_bound", bound))
-    # Per n: the label, converged, and each restart's stop ('stationary' or 'max_iter');
-    # closed-form cells (n = 0, n = m, q <= p) are 'two-sided' and have no restarts.
-    converged = [est.diagnostics.get("converged", True) for est, _, _ in results]
+    # Per n: the label and each descended restart's stop ('stationary' or
+    # 'max_iter'); closed-form cells are 'two-sided' and have no restarts.
     report = {
         "direction": "upper-bound",
         "directions": [est.direction for est, _, _ in results],
-        "nonconverged": not all(converged),
         "medians": [est.diagnostics.get("median") for est, _, _ in results],
-        "converged": converged,
         "stops": [est.diagnostics.get("stops", []) for est, _, _ in results],
     }
     return rows, ("n", "quantity", "value"), report, _series_from_rows(rows)
@@ -445,8 +439,6 @@ def main(argv=None):
             rows, header, series = [], ("n", "quantity", "value"), []
             report = {"nonconvergence": True, "diagnostics": exc.diagnostics}
             exit_code, _ = _failure(exc, subcommand)
-        if report.get("nonconverged"):
-            exit_code = 3
         write_outputs(config["out"], subcommand, config, rows, header, report, series)
     except (WidthlabError, MemoryError, OSError) as exc:
         exit_code, message = _failure(exc, subcommand)

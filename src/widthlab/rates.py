@@ -88,30 +88,30 @@ def _small_smoothness_beta(p, q):
 
 
 def _sobolev_regime(p, q, r):
-    """Classify a Sobolev cell into a table row tag, or raise."""
+    """Classify a Sobolev cell into its table row: (tag, width exponent), or raise."""
     if r is None:
         raise UncoveredRegimeError("sobolev family needs r")
     if q < p:
         if r > 0:
-            return "sobolev q<p"
+            return "sobolev q<p", r
         raise UncoveredRegimeError(f"sobolev needs r > 0 for q < p, got r={r}")
     if q <= 2.0:  # p <= q <= 2
         if r > 1.0 / p - 1.0 / q:
-            return "sobolev p<=q<=2"
+            return "sobolev p<=q<=2", r - (1.0 / p - 1.0 / q)
         raise UncoveredRegimeError(f"sobolev needs r > 1/p - 1/q, got r={r}")
     if p < 2.0:  # p < 2 < q
         if r > 1.0 / p:
-            return "sobolev p<=2<=q"
+            return "sobolev p<=2<=q", r - 1.0 / p + 0.5
         if 1.0 / p - 1.0 / q < r < 1.0 / p:
-            return "small-smoothness p<2<q"
+            return "small-smoothness p<2<q", q * (r - 1.0 / p + 1.0 / q) / 2.0
         raise UncoveredRegimeError(f"sobolev cell (p={p}, q={q}, r={r}) not covered")
     # 2 <= p <= q
     if r > 1.0 / p:
-        return "sobolev 2<=p<=q"
+        return "sobolev 2<=p<=q", r
     if 1.0 / p - 1.0 / q < r < 1.0 / p:
         if r == _small_smoothness_beta(p, q):
             raise UncoveredRegimeError("small smoothness excluded at the critical exponent")
-        return "small-smoothness 2<=p<=q"
+        return "small-smoothness 2<=p<=q", -max(-r, q * (-r + 1.0 / p - 1.0 / q) / 2.0)
     raise UncoveredRegimeError(f"sobolev cell (p={p}, q={q}, r={r}) not covered")
 
 
@@ -119,20 +119,7 @@ def width_rate(family, p, q, r=None, mu=None, gamma=None):
     """Width order for the family at (p, q); constants are normalized to 1."""
     _check_pq(p, q)
     if family == "sobolev":
-        regime = _sobolev_regime(p, q, r)
-        if regime == "sobolev q<p":
-            return RateModel("poly", a=r)
-        if regime == "sobolev p<=q<=2":
-            return RateModel("poly", a=r - (1.0 / p - 1.0 / q))
-        if regime == "sobolev p<=2<=q":
-            return RateModel("poly", a=r - 1.0 / p + 0.5)
-        if regime == "sobolev 2<=p<=q":
-            return RateModel("poly", a=r)
-        if regime == "small-smoothness p<2<q":
-            return RateModel("poly", a=q * (r - 1.0 / p + 1.0 / q) / 2.0)
-        # small smoothness, 2 <= p <= q
-        exponent = max(-r, q * (-r + 1.0 / p - 1.0 / q) / 2.0)
-        return RateModel("poly", a=-exponent)
+        return RateModel("poly", a=_sobolev_regime(p, q, r)[1])
     if family == "exponential":
         if r is None or mu is None or r <= 0 or mu <= 0:
             raise UncoveredRegimeError("exponential family needs mu > 0, r > 0")
@@ -179,7 +166,7 @@ def optimality_verdict(family, p, q, r=None, mu=None, gamma=None):
     critical_beta = None
     if family == "sobolev":
         # Optimal exactly where the width and the T_n error share an order.
-        regime = _sobolev_regime(p, q, r)
+        regime = _sobolev_regime(p, q, r)[0]
         optimal = "optimal" if wr.same_order(er) else "not-optimal"
         if regime == "small-smoothness 2<=p<=q":
             critical_beta = _small_smoothness_beta(p, q)
@@ -309,11 +296,18 @@ def coordinate_subspace_bound(inst):
 def closed_form_width(inst):
     """The exact width of a cell the brute force needs no descent for, else None.
 
-    Checks in order: m within DESK_SCALE_MAX_DIM, finite exponents, then
-    n = 0, n = m or q <= p, where the coordinate subspace is optimal (Pietsch
-    1974, Stesin 1975; Pinkus, n-Widths in Approximation Theory, 1985,
-    ch. VI) and the width is coordinate_subspace_bound, labelled 'two-sided'
-    with no restarts.
+    Checks in order: m within DESK_SCALE_MAX_DIM, finite exponents, then the
+    cells with a classical value, each labelled 'two-sided' with no restarts:
+
+    - n = 0, n = m or q <= p: the coordinate subspace is optimal (Pietsch
+      1974, Stesin 1975; Pinkus, n-Widths in Approximation Theory, 1985,
+      ch. VI), so the width is coordinate_subspace_bound;
+    - p = 1, q = 2: sqrt(1 - n/m) (Pinkus, ch. VI);
+    - n = m - 1, p < q: m^(1/q - 1/p).  Proof: for V = w^perp,
+      dist_q(x, V) = |<x, w>| / ||w||_{q'}, so the worst case over B_p is
+      ||w||_{p'} / ||w||_{q'}.  As p' >= q', Hoelder's inequality bounds it
+      below by m^(1/p' - 1/q') = m^(1/q - 1/p), with equality at the flat
+      w = (1, ..., 1).
     """
     m, n, p, q = inst.m, inst.n, inst.p, inst.q
     if m > DESK_SCALE_MAX_DIM:
@@ -321,8 +315,14 @@ def closed_form_width(inst):
     if not (1.0 <= p < math.inf and 1.0 <= q < math.inf):
         raise InvalidExponentError("brute force needs finite exponents")
     if n in (0, m) or q <= p:
-        return WidthEstimate(coordinate_subspace_bound(inst), "two-sided", "closed-form", {"restarts": 0})
-    return None
+        value = coordinate_subspace_bound(inst)
+    elif p == 1.0 and q == 2.0:
+        value = math.sqrt(1 - n / m)
+    elif n == m - 1:
+        value = m ** (1 / q - 1 / p)
+    else:
+        return None
+    return WidthEstimate(value, "two-sided", "closed-form", {"restarts": 0})
 
 
 M_CAP = 10**6

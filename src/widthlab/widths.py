@@ -17,12 +17,13 @@ V of R^m on the worst-case distance sup_{x in B_p} dist_q(x, V).
   and the inner supremum is a ratio of two norms over span W, maximized by
   projected gradient ascent from the rows of W and random directions.
 
-n = 0, n = m and every q <= p are closed forms (rates.closed_form_width),
-so the dual path only sees 1 < p < q < inf, where both dual exponents are
-finite.  Otherwise the coordinate subspace is restart 0, scored by that
-closed form, so the result never exceeds it.  An ascent can only
-underestimate a supremum, so a descended value is a proven upper bound where
-the inner problem is solved exactly: p = 1 or m - n = 1.
+n = 0, n >= m - 1, every q <= p and (p, q) = (1, 2) are closed forms
+(rates.closed_form_width).  So the vertex path only sees q != 2, and the
+dual path only sees 1 < p < q < inf, where both dual exponents are finite,
+with a complement of m - n >= 2 columns.  The coordinate subspace is
+restart 0, scored by coordinate_subspace_bound, so the result never exceeds
+it.  An ascent can only underestimate a supremum, so a descended value is a
+proven upper bound where the inner problem is solved exactly: p = 1.
 """
 
 import numpy as np
@@ -48,14 +49,12 @@ def _vertex_sup(frame, q):
     minus the distance gradient there and its optimal coefficients.
     """
     vertices = np.eye(frame.shape[0])
-    coeffs = vertices @ frame
-    if q != 2.0:
-        coeffs, converged = _lq_regress(frame, vertices, q, coeffs)
-        if not converged:
-            raise NonconvergenceError(
-                "vertex l_q regression did not converge",
-                diagnostics={"q": q, "m": frame.shape[0], "n": frame.shape[1]},
-            )
+    coeffs, converged = _lq_regress(frame, vertices, q, vertices @ frame)
+    if not converged:
+        raise NonconvergenceError(
+            "vertex l_q regression did not converge",
+            diagnostics={"q": q, "m": frame.shape[0], "n": frame.shape[1]},
+        )
     resid = vertices - coeffs @ frame.T
     absr = np.abs(resid)
     dists = np.sum(absr**q, axis=1) ** (1.0 / q)
@@ -138,18 +137,19 @@ def ball_width_bruteforce(
 ):
     """Direct minimization of the worst-case l_q distance over n-subspaces.
 
-    n = 0, n = m and q <= p return rates.closed_form_width, the exact
-    (m - n)^(1/q - 1/p) labelled 'two-sided' with no restarts.  Otherwise
-    (p < q) returns an upper-bound estimate (it exhibits a concrete subspace).  Restart 0 is the coordinate subspace,
-    scored by its closed-form value with stop 'stationary', so the value
-    never lands above the coordinate-subspace bound and restarts=1 runs no
-    descent.  Restarts 1.. descend from random frames; for p > 1 on a frame
-    of the complement (see the module docstring).  inner_starts and
-    final_starts random directions join the ascent during the descent and in
-    each restart's final evaluation.  A restart stops as 'stationary' when
-    no backtracking step lowers its value, else at 'max_iter'; the estimate
-    is converged when some restart is stationary.  diagnostics['frame'] is
-    an orthonormal m x n frame of the best subspace.
+    The cells rates.closed_form_width knows return its exact value,
+    labelled 'two-sided' with no restarts.  The others (p < q, 1 <= n <=
+    m - 2, (p, q) != (1, 2)) return an upper-bound estimate: it exhibits a
+    concrete subspace, and is a proven upper bound where its inner sup is
+    exact, at p = 1 only.  Restart 0 is the coordinate subspace, scored by
+    coordinate_subspace_bound without a descent, so the value never lands
+    above that bound and restarts=1 runs no descent.  Restarts 1.. descend
+    from random frames; for p > 1 on a frame of the complement (see the
+    module docstring).  inner_starts and final_starts random directions join
+    the ascent during the descent and in each restart's final evaluation.
+    diagnostics['stops'] gives, per descended restart, 'stationary' when no
+    backtracking step lowered its value, else 'max_iter'.
+    diagnostics['frame'] is an orthonormal m x n frame of the best subspace.
     """
     exact = closed_form_width(inst)
     if exact is not None:
@@ -163,9 +163,6 @@ def ball_width_bruteforce(
     def sup(frame, z, steps):
         """Inner sup estimate of one frame and the state its gradient needs."""
         if dual:
-            # At m - n = 1 every start normalizes to +-1 exactly, so no ascent
-            # step can be accepted: the starts' values are the exact sup.
-            steps = steps if cols > 1 else 0
             return _dual_sup(frame, p / (p - 1.0), q / (q - 1.0), _dual_starts(frame, z), steps)
         return _vertex_sup(frame, q)
 
@@ -173,7 +170,7 @@ def ball_width_bruteforce(
     # gradient is 0, so descent would not move it.
     per_restart = [coordinate_subspace_bound(inst)]
     frames = [np.eye(m)[:, n:] if dual else np.eye(m, n)]
-    stops = ["stationary"]
+    stops = []
     for child in np.random.SeedSequence(seed).spawn(restarts)[1:]:
         rng = np.random.default_rng(child)
         frame = _orthonormalize(rng.standard_normal((m, cols)))
@@ -219,7 +216,6 @@ def ball_width_bruteforce(
         {
             "restarts": restarts,
             "median": float(np.median(values)),
-            "converged": "stationary" in stops,
             "stops": stops,
             "frame": best_frame,
         },

@@ -10,7 +10,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import widthlab
@@ -170,6 +170,8 @@ class TestImportGraph:
             ["pipeline", "--gamma", "1", "--p", "1.5", "--q", "3", "--n-list", "8", "12"],
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "1.5"],
             ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "3", "--q", "3"],
+            ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", "1", "--q", "2"],
+            ["widths", "--m", "5", "--n-list", "4", "--p", "1.5", "--q", "3"],
             ["fit", "--input", str(data)],
             ["approx", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3", "--n-list", "8"],
             ["approx", "--family", "polylog", "--gamma", "1", "--n-list", "8", "16"],
@@ -812,7 +814,7 @@ class TestWidthsCommand:
         assert code == 0
         with open(tmp_path / "report.json") as fh:
             report = json.load(fh)["report"]
-        assert report["converged"] == [True] * 4
+        assert set(report) == {"direction", "directions", "medians", "stops"}
         assert report["stops"] == [[]] * 4
         assert report["medians"] == [None] * 4
         with open(tmp_path / "results.csv", newline="") as fh:
@@ -826,7 +828,8 @@ class TestWidthsCommand:
         assert run(args + ["--max-iter", "2", "--out", str(tmp_path)]) == 0
         with open(tmp_path / "report.json") as fh:
             report = json.load(fh)["report"]
-        assert report["directions"] == [label] * 4
+        # n = 4 = m - 1 is a closed form for every (p, q).
+        assert report["directions"] == [label] * 3 + ["two-sided"]
         assert report["direction"] == "upper-bound"
 
     @settings(max_examples=60, deadline=None)
@@ -835,11 +838,12 @@ class TestWidthsCommand:
         p=st.floats(1.0, 8.0),
         q=st.floats(1.0, 8.0),
     )
+    @example(shape=(5, 2), p=1.0, q=2.0)
     def test_closed_form_cells_match_the_brute_force(self, shape, p, q):
-        """Cells with n = 0, n = m or q <= p never reach widths, and write what
-        ball_width_bruteforce gives for them."""
+        """Cells with n = 0, n = m - 1, n = m, q <= p or (p, q) = (1, 2) never
+        reach widths, and write what ball_width_bruteforce gives for them."""
         m, n = shape
-        assume(n in (0, m) or q <= p)
+        assume(n in (0, m - 1, m) or q <= p or (p, q) == (1.0, 2.0))
         inst = BallWidthInstance(m, n, p, q)
         est = widths.ball_width_bruteforce(inst)
         try:
@@ -862,10 +866,7 @@ class TestWidthsCommand:
                 report = json.load(fh)["report"]
         assert sorted(rows) == sorted(expected)
         assert report["directions"] == [est.direction] == ["two-sided"]
-        assert report["medians"] == [est.diagnostics.get("median")]
-        assert report["converged"] == [est.diagnostics.get("converged", True)]
-        assert report["stops"] == [est.diagnostics.get("stops", [])]
-        assert report["nonconverged"] is False
+        assert report == {"direction": "upper-bound", "directions": ["two-sided"], "medians": [None], "stops": [[]]}
 
     @pytest.mark.parametrize(
         "args, message",

@@ -112,31 +112,37 @@ class TestBruteForce:
             assert est.value == pytest.approx(1.0, abs=1e-6)
         assert ball_width_bruteforce(BallWidthInstance(5, 5, 2, 2), **FAST).value == 0.0
 
-    def test_matches_angular_oracle(self):
-        est = ball_width_bruteforce(BallWidthInstance(3, 1, 1, 2), restarts=4, seed=0)
+    def test_matches_angular_oracle(self, monkeypatch):
+        # (1, 2) is a closed form; patched out, the p = 1 descent must reach it too.
         oracle = angular_oracle_m3_n1(1, 2, step=2e-3)
+        exact = ball_width_bruteforce(BallWidthInstance(3, 1, 1, 2))
+        monkeypatch.setattr(widths, "closed_form_width", lambda inst: None)
+        est = ball_width_bruteforce(BallWidthInstance(3, 1, 1, 2), restarts=4, seed=0)
+        assert est.method == "bruteforce"
         assert est.value == pytest.approx(oracle, abs=1e-3)
+        assert exact.value == pytest.approx(oracle, abs=1e-3)
 
     def test_dimension_guard(self):
         with pytest.raises(DimensionGuardError):
             ball_width_bruteforce(BallWidthInstance(9, 2, 2, 2))
 
     def test_domination_sample(self):
-        for m, n, p, q in [(3, 1, 1.5, 3.0), (4, 2, 3.0, 1.5), (5, 3, 1.0, 2.0)]:
+        for m, n, p, q in [(3, 1, 1.5, 3.0), (4, 2, 3.0, 1.5), (5, 3, 1.0, 3.0)]:
             inst = BallWidthInstance(m, n, p, q)
             est = ball_width_bruteforce(inst, seed=3, **FAST)
             assert est.value <= coordinate_subspace_bound(inst) + 1e-6
 
+    # At (1, 3), off the (1, 2) closed form, every 1 <= n <= m - 2 descends.
     def test_monotone_in_n(self):
         vals = [
-            ball_width_bruteforce(BallWidthInstance(5, n, 1, 2), restarts=4, seed=1).value
+            ball_width_bruteforce(BallWidthInstance(5, n, 1, 3), restarts=4, seed=1).value
             for n in range(6)
         ]
         assert all(a >= b - 1e-6 for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_m(self):
         vals = [
-            ball_width_bruteforce(BallWidthInstance(m, 2, 1, 2), restarts=4, seed=1).value
+            ball_width_bruteforce(BallWidthInstance(m, 2, 1, 3), restarts=4, seed=1).value
             for m in (3, 4, 5)
         ]
         assert all(a <= b + 1e-6 for a, b in zip(vals, vals[1:]))
@@ -148,10 +154,12 @@ class TestBruteForce:
         assert "median" in est.diagnostics
 
     def test_stop_reasons_reported(self):
-        est = ball_width_bruteforce(BallWidthInstance(5, 2, 1.5, 3), seed=1, **SWEEP)
-        assert len(est.diagnostics["stops"]) == 2
-        assert set(est.diagnostics["stops"]) <= {"stationary", "max_iter"}
-        assert est.diagnostics["converged"] == ("stationary" in est.diagnostics["stops"])
+        # One stop per descended restart: restart 0 runs no descent.
+        for restarts in (2, 3):
+            est = ball_width_bruteforce(BallWidthInstance(5, 2, 1.5, 3), seed=1, **{**SWEEP, "restarts": restarts})
+            assert len(est.diagnostics["stops"]) == restarts - 1
+            assert set(est.diagnostics["stops"]) <= {"stationary", "max_iter"}
+            assert set(est.diagnostics) == {"restarts", "median", "stops", "frame"}
 
     def test_closed_forms_run_no_restarts(self):
         for m, n, p, q in [(4, 0, 2, 1), (4, 4, 1.5, 3), (5, 2, 1, 1), (5, 3, 3, 3), (5, 2, 3.0, 1.5)]:
@@ -168,11 +176,11 @@ class TestBruteForce:
 
         monkeypatch.setattr(widths, "_dual_sup", unreachable)
         monkeypatch.setattr(widths, "_vertex_sup", unreachable)
-        for p, q in [(1.0, 2.0), (1.5, 3.0)]:
+        for p, q in [(1.0, 1.5), (1.5, 3.0)]:
             inst = BallWidthInstance(5, 2, p, q)
             est = ball_width_bruteforce(inst, restarts=1)
             assert est.value == coordinate_subspace_bound(inst)
-            assert est.diagnostics["stops"] == ["stationary"]
+            assert est.diagnostics["stops"] == []
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -194,7 +202,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("p, q", [(1.0, 1.5), (1.0, 2.0), (1.0, 3.0), (1.5, 2.0), (1.5, 3.0), (2.0, 3.0)])
     def test_envelope_gradient_vanishes_at_the_coordinate_frame(self, p, q):
-        # Why restart 0 is recorded as stationary without a descent.
+        # Why restart 0 needs no descent.
         rng = np.random.default_rng(5)
         for m in range(2, 7):
             for n in range(1, m):
@@ -213,6 +221,64 @@ class TestBruteForce:
             frame = ball_width_bruteforce(BallWidthInstance(5, 2, p, q), seed=1, **FAST).diagnostics["frame"]
             assert frame.shape == (5, 2)
             assert np.allclose(frame.T @ frame, np.eye(2), atol=1e-12)
+
+
+def dft_frame(m, n):
+    """n orthonormal real DFT columns of R^m, 0 < n < m: the constant column
+    when n is odd, then cosine and sine pairs.  Every row has norm sqrt(n/m)."""
+    i = np.arange(m)
+    cols = [np.full(m, 1.0 / math.sqrt(m))] if n % 2 else []
+    for k in range(1, n // 2 + 1):
+        cols += [math.sqrt(2.0 / m) * np.cos(2 * math.pi * k * i / m), math.sqrt(2.0 / m) * np.sin(2 * math.pi * k * i / m)]
+    return np.column_stack(cols)
+
+
+class TestNewClosedForms:
+    """(p, q) = (1, 2) at every n, and n = m - 1 for every p < q."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(2, rates.DESK_SCALE_MAX_DIM),
+        seed=st.integers(0, 2**32 - 1),
+        p=st.one_of(st.just(1.0), st.floats(1.01, 6.0)),
+        gap=st.floats(0.5, 6.0),
+        data=st.data(),
+    )
+    def test_closed_form_is_at_most_the_descent(self, m, seed, p, gap, data):
+        # A descended value exhibits a subspace, so it cannot fall below the width.
+        n = data.draw(st.integers(1, m - 1))
+        for inst in (BallWidthInstance(m, n, 1.0, 2.0), BallWidthInstance(m, m - 1, p, p + gap)):
+            exact = rates.closed_form_width(inst)
+            assert (exact.direction, exact.method, exact.diagnostics) == ("two-sided", "closed-form", {"restarts": 0})
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(widths, "closed_form_width", lambda inst: None)
+                descended = ball_width_bruteforce(inst, seed=seed, **FAST)
+            assert descended.method == "bruteforce"
+            assert exact.value <= descended.value * (1 + 1e-12)
+
+    @pytest.mark.parametrize("p, q", [(1.0, 1.5), (1.0, 3.0), (1.5, 3.0), (2.0, 4.0), (1.2, 1.5)])
+    def test_the_flat_normal_attains_n_equal_m_minus_1(self, p, q):
+        rng = np.random.default_rng(3)
+        for m in range(2, rates.DESK_SCALE_MAX_DIM + 1):
+            flat = np.ones((m, 1)) / math.sqrt(m)
+            if p == 1.0:
+                value, _ = widths._vertex_sup(widths._complement(flat), q)
+            else:
+                starts = widths._dual_starts(flat, rng.standard_normal((4, 1)))
+                value, _ = widths._dual_sup(flat, p / (p - 1.0), q / (q - 1.0), starts, 0)
+            exact = rates.closed_form_width(BallWidthInstance(m, m - 1, p, q)).value
+            assert exact == m ** (1 / q - 1 / p)
+            assert value == pytest.approx(exact, rel=1e-12)
+
+    def test_a_dft_frame_attains_the_one_two_width(self):
+        for m in range(2, rates.DESK_SCALE_MAX_DIM + 1):
+            for n in range(1, m):
+                frame = dft_frame(m, n)
+                assert np.allclose(frame.T @ frame, np.eye(n), atol=1e-12)
+                value, _ = widths._vertex_sup(frame, 2.0)
+                exact = rates.closed_form_width(BallWidthInstance(m, n, 1.0, 2.0)).value
+                assert exact == math.sqrt(1 - n / m)
+                assert value == pytest.approx(exact, rel=1e-12)
 
 
 def dual_ratio_scan(frame, p, q, n_angles=100_000, refine=1_000):
@@ -317,22 +383,14 @@ class TestDualInnerSup:
             assert np.array_equal(ascended_grad, grad) and np.array_equal(ascended_z, z)
 
     @pytest.mark.parametrize("p, q", [(1.5, 3.0), (1.2, 4.0), (2.0, 3.0)])
-    def test_one_column_complement_skips_the_ascent(self, p, q):
-        inst = BallWidthInstance(5, 4, p, q)
-        skipped = ball_width_bruteforce(inst, seed=1, **SWEEP)
-        steps = []
-        real = widths._dual_sup
+    def test_one_column_complement_skips_the_ascent(self, p, q, monkeypatch):
+        # n = m - 1 is the closed form m^(1/q - 1/p): no descent, no ascent.
+        def unreachable(*args):
+            raise AssertionError("inner supremum evaluated")
 
-        def with_ascent(frame, p_dual, q_dual, z, n_steps):
-            steps.append(n_steps)
-            return real(frame, p_dual, q_dual, z, widths.FINAL_ASCENT_STEPS)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(widths, "_dual_sup", with_ascent)
-            ascended = ball_width_bruteforce(inst, seed=1, **SWEEP)
-        assert steps and set(steps) == {0}
-        assert (skipped.value, skipped.diagnostics["stops"]) == (ascended.value, ascended.diagnostics["stops"])
-        assert np.array_equal(skipped.diagnostics["frame"], ascended.diagnostics["frame"])
+        monkeypatch.setattr(widths, "_dual_sup", unreachable)
+        est = ball_width_bruteforce(BallWidthInstance(5, 4, p, q), seed=1, **SWEEP)
+        assert est == (5 ** (1 / q - 1 / p), "two-sided", "closed-form", {"restarts": 0})
 
     def test_q_below_p_reaches_the_exact_width(self):
         # Exact: (m - n)^(1/q - 1/p) (Pietsch, Stesin).
