@@ -199,38 +199,40 @@ def run_widths(config):
     if config["restarts"] < 1 or min(config[k] for k in ("inner_starts", "final_starts", "max_iter")) < 0:
         raise ConfigError("widths needs restarts >= 1 and inner_starts, final_starts, max_iter >= 0")
 
-    def one(n):
-        inst = BallWidthInstance(m, n, p, q)
-        est = closed_form_width(inst)
-        if est is None:
-            from .widths import ball_width_bruteforce
-            est = ball_width_bruteforce(
-                inst,
-                restarts=config["restarts"],
-                seed=config["seed"],
-                inner_starts=config["inner_starts"],
-                final_starts=config["final_starts"],
-                max_iter=config["max_iter"],
-            )
-        try:
-            phi = phi_gluskin(inst)
-        except WidthlabError:
-            phi = float("nan")
-        return est, phi, coordinate_subspace_bound(inst)
+    # Each distinct n is solved once; its rows repeat for every listed copy.
+    insts = {n: BallWidthInstance(m, n, p, q) for n in n_list}
+    ests = {n: closed_form_width(inst) for n, inst in insts.items()}
+    descend = [n for n, est in ests.items() if est is None]
+    if descend:
+        from .widths import ball_widths_bruteforce
+        found = ball_widths_bruteforce(
+            [insts[n] for n in descend],
+            restarts=config["restarts"],
+            seed=config["seed"],
+            inner_starts=config["inner_starts"],
+            final_starts=config["final_starts"],
+            max_iter=config["max_iter"],
+        )
+        ests.update(zip(descend, found))
 
-    results = [one(n) for n in n_list]
+    def phi(inst):
+        try:
+            return phi_gluskin(inst)
+        except WidthlabError:
+            return float("nan")
+
     rows = []
-    for n, (est, phi, bound) in zip(n_list, results):
-        rows.append((n, "bruteforce_width", est.value))
-        rows.append((n, "phi_order", phi))
-        rows.append((n, "coordinate_bound", bound))
+    for n in n_list:
+        rows.append((n, "bruteforce_width", ests[n].value))
+        rows.append((n, "phi_order", phi(insts[n])))
+        rows.append((n, "coordinate_bound", coordinate_subspace_bound(insts[n])))
     # Per n: the label and each descended restart's stop ('stationary' or
     # 'max_iter'); closed-form cells are 'two-sided' and have no restarts.
     report = {
         "direction": "upper-bound",
-        "directions": [est.direction for est, _, _ in results],
-        "medians": [est.diagnostics.get("median") for est, _, _ in results],
-        "stops": [est.diagnostics.get("stops", []) for est, _, _ in results],
+        "directions": [ests[n].direction for n in n_list],
+        "medians": [ests[n].diagnostics.get("median") for n in n_list],
+        "stops": [ests[n].diagnostics.get("stops", []) for n in n_list],
     }
     return rows, ("n", "quantity", "value"), report, _series_from_rows(rows)
 

@@ -15,7 +15,17 @@ V of R^m on the worst-case distance sup_{x in B_p} dist_q(x, V).
 
   so V is carried by an orthonormal m x (m - n) frame W of its complement,
   and the inner supremum is a ratio of two norms over span W, maximized by
-  projected gradient ascent from the rows of W and random directions.
+  projected gradient ascent from the projections of the e_i and random
+  directions.  The ascent runs in y = W z space with the projector
+  P = W W^T, so every problem has the same (starts, m) shape whatever m - n.
+
+All descents of one ball_widths_bruteforce call, one per (n, restart), run in
+lockstep.  Each round every active descent proposes its next backtracking
+trial frame, and one call scores every trial: for p > 1 one batched dual
+ascent, run on groups of problems that hold at most norms.QUADRATURE_BLOCK
+samples of ascent state, so memory does not grow with the restarts; for
+p = 1 each trial's own vertex regressions.  A problem's result does not
+depend on which other problems share its batch.
 
 n = 0, n >= m - 1, every q <= p and (p, q) = (1, 2) are closed forms
 (rates.closed_form_width).  So the vertex path only sees q != 2, and the
@@ -29,13 +39,15 @@ proven upper bound where the inner problem is solved exactly: p = 1.
 import numpy as np
 
 from .errors import NonconvergenceError
-from .norms import _lq_regress
-from .rates import WidthEstimate, closed_form_width, coordinate_subspace_bound
+from .norms import QUADRATURE_BLOCK, _lq_regress
+from .rates import DESK_SCALE_MAX_DIM, WidthEstimate, closed_form_width, coordinate_subspace_bound
 
 # Projected-ascent steps of the dual inner maximization, during the descent
 # and in each restart's final evaluation.
 ASCENT_STEPS = 40
 FINAL_ASCENT_STEPS = 80
+# The summing vector of _row_sums.
+_ONES = np.ones((DESK_SCALE_MAX_DIM, 1))
 
 
 def _vertex_sup(frame, q):
@@ -63,56 +75,101 @@ def _vertex_sup(frame, q):
     return float(dists[best]), (-grads[best], coeffs[best])
 
 
-def _dual_ratios(frame, z, p_dual, q_dual):
-    """||y||_{p'} / ||y||_{q'} at y = frame z for the rows z, and the
-    gradients of the log ratios in y.
+def _row_sums(a):
+    """Sums over the last axis of m <= DESK_SCALE_MAX_DIM entries, kept as an
+    axis of 1.  A matrix-vector product: on rows this short it is several
+    times faster than np.sum, and each row's sum is the same in any batch."""
+    return a @ _ONES[: a.shape[-1]]
 
-    Finite exponents only.  Both norms share |y|, its row max and the sign
-    of y; each is scaled by the row max, so no power overflows.
+
+def _dual_ratios(y, p_dual, q_dual):
+    """||y||_{p'} / ||y||_{q'} over the last axis of the unit rows y, and the
+    gradients of the log ratios in y, both with a trailing axis of 1 and 3.
+
+    Finite exponents only.  Both norms share |y| and the sign of y.  A unit
+    row of m <= DESK_SCALE_MAX_DIM entries has one of size 1/sqrt(8) or
+    more, so its power sums cannot underflow below an exponent of 600.
+    Above it (p close to 1) the rows are scaled by their max.
     """
-    y = z @ frame.T
     absy = np.abs(y)
-    scale = absy.max(axis=1, keepdims=True)
-    u = absy / scale
-    sign = np.sign(y)
-    sum_p = (u**p_dual).sum(axis=1, keepdims=True)
-    sum_q = (u**q_dual).sum(axis=1, keepdims=True)
-    num = (scale * sum_p ** (1.0 / p_dual))[:, 0]
-    den = (scale * sum_q ** (1.0 / q_dual))[:, 0]
-    grads = sign * u ** (p_dual - 1.0) / (scale * sum_p) - sign * u ** (q_dual - 1.0) / (scale * sum_q)
-    return num / den, grads
+    scaled = max(p_dual, q_dual) > 600.0
+    if scaled:
+        scale = np.max(absy, axis=-1, keepdims=True)
+        absy /= scale
+    pow_p = absy ** (p_dual - 1.0)
+    pow_q = absy ** (q_dual - 1.0)
+    sum_p = _row_sums(pow_p * absy)
+    sum_q = _row_sums(pow_q * absy)
+    grads = pow_p / sum_p
+    grads -= pow_q / sum_q
+    grads *= np.sign(y)
+    if scaled:
+        grads /= scale
+    return sum_p ** (1.0 / p_dual) / sum_q ** (1.0 / q_dual), grads
 
 
-def _dual_sup(frame, p_dual, q_dual, z, steps):
-    """Max over the unit sphere of ||frame z||_{p'} / ||frame z||_{q'} by
-    projected gradient ascent from every row of z, with the ratio's gradient
-    in y = frame z and the maximizing z.  p' and q' are finite.
+def _dual_ascent(proj, y, p_dual, q_dual, steps):
+    """Projected gradient ascent of ||y||_{p'} / ||y||_{q'} over the unit
+    sphere of span(proj[k]), from every start row y[k, s] of every problem k.
 
-    The log ratio is homogeneous of degree 0, so its gradient is tangent to
-    the sphere.  Each start keeps its own step, which grows after an
-    improving move and halves after a rejected one, so no start's value ever
-    falls.  Every iterate is feasible: the result never exceeds the true max.
+    proj holds the orthogonal projectors P = W W^T of the problems' frames W,
+    so the ascent runs in y = W z space, where every problem has the same
+    (starts, m) shape whatever its number of columns.  The log ratio is
+    homogeneous of degree 0, so its gradient is tangent to the sphere, and P
+    keeps each step inside span(W).  Each start keeps its own step, which
+    grows after an improving move and halves after a rejected one, so no
+    start's value ever falls.  A move must raise the ratio by more than
+    1e-15 relative, above its rounding of a few units in the last place, so
+    a step that only moves rounding (any step of a one-column frame, whose
+    sphere is two points) is rejected.  Every iterate is feasible: no value
+    exceeds the true max.  Returns the values (with a trailing axis of 1),
+    their log gradients and the rows y.
     """
-    z = z / np.sqrt(np.sum(z * z, axis=1, keepdims=True))
-    vals, grads = _dual_ratios(frame, z, p_dual, q_dual)
-    step = np.full((len(z), 1), 0.5)
+    y = y / np.sqrt(_row_sums(y * y))
+    vals, grads = _dual_ratios(y, p_dual, q_dual)
+    step = np.full(vals.shape, 0.5)
     for _ in range(steps):
-        trial = z + step * (grads @ frame)
-        trial /= np.sqrt(np.sum(trial * trial, axis=1, keepdims=True))
-        tvals, tgrads = _dual_ratios(frame, trial, p_dual, q_dual)
-        up = tvals > vals
-        z = np.where(up[:, None], trial, z)
+        trial = grads @ proj
+        trial *= step
+        trial += y
+        trial /= np.sqrt(_row_sums(trial * trial))
+        tvals, tgrads = _dual_ratios(trial, p_dual, q_dual)
+        up = tvals > vals * (1.0 + 1e-15)
+        y = np.where(up, trial, y)
         vals = np.where(up, tvals, vals)
-        grads = np.where(up[:, None], tgrads, grads)
-        step = np.where(up[:, None], 1.5 * step, 0.5 * step)
-    best = int(np.argmax(vals))
-    return float(vals[best]), (vals[best] * grads[best], z[best])
+        grads = np.where(up, tgrads, grads)
+        step *= np.where(up, 1.5, 0.5)
+    return vals, grads, y
 
 
-def _dual_starts(frame, z):
-    """Ascent starts: the nonzero rows of frame (the directions of the
-    projections of the e_i onto its span), then the random rows z."""
-    return np.vstack([frame[np.any(frame != 0.0, axis=1)], z])
+def _dual_sups(frames, zs, p_dual, q_dual, steps):
+    """Inner sup estimate of each complement frame W with the two factors of
+    its frame gradient, by one batched _dual_ascent per group of problems.
+
+    A frame's starts are the projections P e_i of the vertices (zero ones
+    replaced by repeats of the others, so every problem has m of them), then
+    its random rows z mapped to W z.  A group holds at most QUADRATURE_BLOCK
+    samples of ascent state.  At the best start y, the gradient of the ratio
+    R(W z) in W is the outer product of R times its log gradient in y and
+    z = W^T y.
+    """
+    if not frames:
+        return []
+    m = frames[0].shape[0]
+    group = max(1, QUADRATURE_BLOCK // (m * (m + len(zs[0]))))
+    out = []
+    for lo in range(0, len(frames), group):
+        chunk = frames[lo : lo + group]
+        proj = np.stack([w @ w.T for w in chunk])
+        starts = np.stack(
+            [np.vstack([np.resize(p[np.any(p != 0.0, axis=1)], p.shape), z @ w.T])
+             for w, p, z in zip(chunk, proj, zs[lo : lo + group])]
+        )
+        vals, grads, y = _dual_ascent(proj, starts, p_dual, q_dual, steps)
+        for w, v, g, yk in zip(chunk, vals[..., 0], grads, y):
+            best = int(np.argmax(v))
+            out.append((float(v[best]), (v[best] * g[best], w.T @ yk[best])))
+    return out
 
 
 def _orthonormalize(a):
@@ -127,96 +184,127 @@ def _complement(frame):
     return u[:, frame.shape[1] :]
 
 
-def ball_width_bruteforce(
-    inst,
+def _descend(frames, zs, sups, max_iter):
+    """Backtracking descent of every frame in lockstep; returns the values
+    and stops, and leaves each frame's last accepted iterate in frames.
+
+    Per frame: step 0.25, times 1.5 (at most 1) after an accepted step and
+    0.5 after a rejected one; a trial is accepted when it lowers the value by
+    more than 1e-14.  A frame stops 'stationary' when 8 tries in a row, or a
+    step below 1e-10, found no lower value, and 'max_iter' after max_iter
+    accepted steps.  Each round, every active frame proposes its next trial
+    and one sups(trials, zs, ASCENT_STEPS) call scores them all.
+    """
+    count = len(frames)
+    vals, states = [None] * count, [None] * count
+    steps, accepted, tries = [0.25] * count, [0] * count, [0] * count
+    stops = ["max_iter"] * count
+    trials, active = list(frames), list(range(count))
+    while active:
+        scored = sups([trials[j] for j in active], [zs[j] for j in active], ASCENT_STEPS)
+        still = []
+        for j, (tval, tstate) in zip(active, scored):
+            if vals[j] is None:
+                vals[j], states[j] = tval, tstate
+            elif tval < vals[j] - 1e-14:
+                frames[j], vals[j], states[j] = trials[j], tval, tstate
+                steps[j] = min(steps[j] * 1.5, 1.0)
+                accepted[j], tries[j] = accepted[j] + 1, 0
+            else:
+                steps[j] *= 0.5
+                tries[j] += 1
+                if tries[j] == 8 or steps[j] < 1e-10:
+                    stops[j] = "stationary"
+                    continue
+            if accepted[j] == max_iter:
+                continue
+            # Envelope theorem: the inner maximizer's gradient, taken as fixed.
+            trials[j] = _orthonormalize(frames[j] - steps[j] * np.outer(*states[j]))
+            still.append(j)
+        active = still
+    return vals, stops
+
+
+def ball_widths_bruteforce(
+    instances,
     restarts=64,
     seed=0,
     max_iter=60,
     inner_starts=64,
     final_starts=256,
 ):
-    """Direct minimization of the worst-case l_q distance over n-subspaces.
+    """Direct minimization of the worst-case l_q distance over n-subspaces,
+    for each of the instances.
 
     The cells rates.closed_form_width knows return its exact value,
     labelled 'two-sided' with no restarts.  The others (p < q, 1 <= n <=
-    m - 2, (p, q) != (1, 2)) return an upper-bound estimate: it exhibits a
-    concrete subspace, and is a proven upper bound where its inner sup is
-    exact, at p = 1 only.  Restart 0 is the coordinate subspace, scored by
-    coordinate_subspace_bound without a descent, so the value never lands
-    above that bound and restarts=1 runs no descent.  Restarts 1.. descend
-    from random frames; for p > 1 on a frame of the complement (see the
-    module docstring).  inner_starts and final_starts random directions join
-    the ascent during the descent and in each restart's final evaluation.
-    diagnostics['stops'] gives, per descended restart, 'stationary' when no
-    backtracking step lowered its value, else 'max_iter'.
-    diagnostics['frame'] is an orthonormal m x n frame of the best subspace.
+    m - 2, (p, q) != (1, 2)) must share m, p and q.  Each returns an
+    upper-bound estimate: it exhibits a concrete subspace, and is a proven
+    upper bound where its inner sup is exact, at p = 1 only.  Restart 0 is
+    the coordinate subspace, scored by coordinate_subspace_bound without a
+    descent, so the value never lands above that bound and restarts=1 runs
+    no descent.  Restarts 1.. descend from random frames; for p > 1 on a
+    frame of the complement (see the module docstring).  Restart r draws
+    its frame from the same seed for every instance.  inner_starts and
+    final_starts random directions join the ascent during the descent and
+    in each restart's final evaluation.  diagnostics['stops'] gives, per
+    descended restart, 'stationary' when no backtracking step lowered its
+    value, else 'max_iter'.  diagnostics['frame'] is an orthonormal m x n
+    frame of the best subspace.
     """
-    exact = closed_form_width(inst)
-    if exact is not None:
-        return exact
-    m, n, p, q = inst.m, inst.n, inst.p, inst.q
+    results = [closed_form_width(inst) for inst in instances]
+    todo = [inst for inst, est in zip(instances, results) if est is None]
+    if not todo:
+        return results
+    m, p, q = todo[0].m, todo[0].p, todo[0].q
+    if any((inst.m, inst.p, inst.q) != (m, p, q) for inst in todo):
+        raise ValueError("descended instances must share m, p and q")
     # p = 1 descends on a frame of the subspace itself, p > 1 on a frame of
     # its complement, with the finite Hoelder conjugates of 1 < p < q.
     dual = p > 1.0
-    cols = m - n if dual else n
 
-    def sup(frame, z, steps):
-        """Inner sup estimate of one frame and the state its gradient needs."""
+    def sups(frames, zs, steps):
+        """Inner sup estimates of the frames and the states their gradients need."""
         if dual:
-            return _dual_sup(frame, p / (p - 1.0), q / (q - 1.0), _dual_starts(frame, z), steps)
-        return _vertex_sup(frame, q)
+            return _dual_sups(frames, zs, p / (p - 1.0), q / (q - 1.0), steps)
+        return [_vertex_sup(frame, q) for frame in frames]
 
-    # Restart 0: the coordinate frame at its exact value.  Its envelope
-    # gradient is 0, so descent would not move it.
-    per_restart = [coordinate_subspace_bound(inst)]
-    frames = [np.eye(m)[:, n:] if dual else np.eye(m, n)]
-    stops = []
-    for child in np.random.SeedSequence(seed).spawn(restarts)[1:]:
-        rng = np.random.default_rng(child)
-        frame = _orthonormalize(rng.standard_normal((m, cols)))
-        # Fixed random starts per restart keep the objective deterministic
-        # along the descent path.
-        z_inner = rng.standard_normal((inner_starts, cols))
-        z_final = rng.standard_normal((final_starts, cols))
+    frames, z_inner, z_final = [], [], []
+    children = np.random.SeedSequence(seed).spawn(restarts)[1:]
+    for inst in todo:
+        cols = m - inst.n if dual else inst.n
+        for child in children:
+            rng = np.random.default_rng(child)
+            frames.append(_orthonormalize(rng.standard_normal((m, cols))))
+            # Fixed random starts per restart keep the objective
+            # deterministic along the descent path.
+            z_inner.append(rng.standard_normal((inner_starts, cols)))
+            z_final.append(rng.standard_normal((final_starts, cols)))
+    vals, stops = _descend(frames, z_inner, sups, max_iter)
+    # The richer final start set can only raise the sup estimate.
+    found = [max(final, val) for (final, _), val in zip(sups(frames, z_final, FINAL_ASCENT_STEPS), vals)]
 
-        val, state = sup(frame, z_inner, ASCENT_STEPS)
-        step = 0.25
-        stop = "max_iter"
-        for _ in range(max_iter):
-            # Envelope theorem: the inner maximizer's gradient, taken as fixed.
-            grad_frame = np.outer(*state)
-            accepted = False
-            for _ in range(8):
-                trial = _orthonormalize(frame - step * grad_frame)
-                tval, tstate = sup(trial, z_inner, ASCENT_STEPS)
-                if tval < val - 1e-14:
-                    frame, val, state = trial, tval, tstate
-                    step = min(step * 1.5, 1.0)
-                    accepted = True
-                    break
-                step *= 0.5
-                if step < 1e-10:
-                    break
-            if not accepted:
-                stop = "stationary"
-                break
-        stops.append(stop)
-        final_val, _ = sup(frame, z_final, FINAL_ASCENT_STEPS)
-        # The richer final start set can only raise the sup estimate.
-        per_restart.append(max(final_val, val))
-        frames.append(frame)
-
-    values = np.asarray(per_restart)
-    best_idx = int(np.argmin(values))
-    best_frame = _complement(frames[best_idx]) if dual else frames[best_idx]
-    return WidthEstimate(
-        float(values[best_idx]),
-        "upper-bound",
-        "bruteforce",
-        {
+    descended = []
+    for k, inst in enumerate(todo):
+        mine = slice(k * (restarts - 1), (k + 1) * (restarts - 1))
+        # Restart 0: the coordinate frame at its exact value.  Its envelope
+        # gradient is 0, so descent would not move it.
+        values = np.asarray([coordinate_subspace_bound(inst)] + found[mine])
+        candidates = [np.eye(m)[:, inst.n :] if dual else np.eye(m, inst.n)] + frames[mine]
+        best = int(np.argmin(values))
+        diagnostics = {
             "restarts": restarts,
             "median": float(np.median(values)),
-            "stops": stops,
-            "frame": best_frame,
-        },
-    )
+            "stops": stops[mine],
+            "frame": _complement(candidates[best]) if dual else candidates[best],
+        }
+        descended.append(WidthEstimate(float(values[best]), "upper-bound", "bruteforce", diagnostics))
+    descended = iter(descended)
+    return [next(descended) if est is None else est for est in results]
+
+
+def ball_width_bruteforce(inst, **budget):
+    """The one-instance case of ball_widths_bruteforce, with its budget
+    keywords and defaults."""
+    (est,) = ball_widths_bruteforce([inst], **budget)
+    return est

@@ -277,6 +277,12 @@ def test_criterion_11_cli_determinism(tmp_path):
         "pipeline": ["pipeline", "--n-list", "8", "16", "32", "--seed", "7"],
         "mz": ["mz", "--p-list", "2.0", "3.0", "--m-list", "4", "8", "--trials", "20", "--seed", "7"],
         "approx": ["approx", "--family", "sobolev", "--r", "1", "--p", "1.5", "--q", "3", "--n-list", "8", "12"],
+        # Descended widths: the dual ascent (p > 1) and the vertex regressions (p = 1).
+        **{
+            f"widths-p{p}-q{q}": ["widths", "--m", "5", "--n-list", "1", "2", "3", "--p", p, "--q", q,
+                                  "--restarts", "3", "--seed", "7"]
+            for p, q in (("1.5", "3"), ("1", "1.5"))
+        },
     }
     ok = True
     for name, args in runs.items():
@@ -286,4 +292,4 @@ def test_criterion_11_cli_determinism(tmp_path):
         assert cli_main(args + ["--out", str(out)]) == 0
         second = {f: (out / f).read_bytes() for f in ("results.csv", "report.json")}
         ok = ok and first == second
-    _finish(11, ok, "repeated runs byte-identical for pipeline, mz and approx")
+    _finish(11, ok, "repeated runs byte-identical for pipeline, mz, approx and two descended widths cells")

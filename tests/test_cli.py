@@ -822,6 +822,42 @@ class TestWidthsCommand:
         for n in range(1, 5):
             assert rows[(str(n), "bruteforce_width")] == (5 - n) ** (1 / 1.5 - 1 / 3)
 
+    @pytest.mark.parametrize("restarts", ["2", "5"])
+    @pytest.mark.parametrize("p", ["1", "1.5"])
+    def test_a_width_does_not_depend_on_its_batch(self, tmp_path, p, restarts):
+        """The n = 2 rows and report entries are the same bytes whichever
+        other n share the lockstep descent, and in whichever order."""
+        seen = []
+        for i, n_list in enumerate([["2"], ["1", "2", "3"], ["3", "2", "1"]]):
+            out = tmp_path / str(i)
+            args = ["widths", "--m", "5", "--n-list", *n_list, "--p", p, "--q", "3", "--restarts", restarts]
+            assert run(args + ["--seed", "3", "--out", str(out)]) == 0
+            rows = [line for line in read(out / "results.csv").splitlines() if line.startswith(b"2,")]
+            report = json.loads(read(out / "report.json"))["report"]
+            at = n_list.index("2")
+            seen.append((rows, [json.dumps(report[key][at]) for key in ("directions", "medians", "stops")]))
+        assert len(seen[0][0]) == 3
+        assert seen[1] == seen[0] and seen[2] == seen[0]
+
+    def test_each_distinct_n_descends_once(self, tmp_path, monkeypatch):
+        calls = []
+        bruteforce = widths.ball_widths_bruteforce
+
+        def recording(instances, **budget):
+            calls.append([inst.n for inst in instances])
+            return bruteforce(instances, **budget)
+
+        monkeypatch.setattr(widths, "ball_widths_bruteforce", recording)
+        args = ["widths", "--m", "5", "--p", "1.5", "--q", "3", "--restarts", "2", "--max-iter", "4"]
+        assert run(args + ["--n-list", "2", "--out", str(tmp_path / "one")]) == 0
+        assert run(args + ["--n-list", "2", "4", "2", "2", "--out", str(tmp_path / "many")]) == 0
+        assert calls == [[2], [2]]
+        one = read(tmp_path / "one" / "results.csv").splitlines()
+        many = read(tmp_path / "many" / "results.csv").splitlines()
+        assert many[1:4] == many[7:10] == many[10:13] == one[1:]
+        report = json.loads(read(tmp_path / "many" / "report.json"))["report"]
+        assert report["directions"] == ["upper-bound", "two-sided", "upper-bound", "upper-bound"]
+
     @pytest.mark.parametrize("p, q, label", [("3", "1.5", "two-sided"), ("1.5", "3", "upper-bound")])
     def test_report_labels_each_n(self, tmp_path, p, q, label):
         args = ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", p, "--q", q, "--restarts", "2"]
@@ -858,6 +894,7 @@ class TestWidthsCommand:
 
         with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
             mp.setattr(widths, "ball_width_bruteforce", unreachable)
+            mp.setattr(widths, "ball_widths_bruteforce", unreachable)
             args = ["widths", "--m", str(m), "--n-list", str(n), "--p", repr(p), "--q", repr(q)]
             assert run(args + ["--out", out]) == 0
             with open(os.path.join(out, "results.csv"), newline="") as fh:

@@ -24,6 +24,17 @@ FAST = dict(restarts=2, inner_starts=16, final_starts=32, max_iter=12)
 SWEEP = dict(restarts=2, inner_starts=32, final_starts=64, max_iter=30)
 
 
+def dual_sup(frame, p, q, z, steps):
+    """The p > 1 inner sup of one complement frame, with its gradient state,
+    from the random starts z: the one-frame case of widths._dual_sups."""
+    (out,) = widths._dual_sups([frame], [z], p / (p - 1.0), q / (q - 1.0), steps)
+    return out
+
+
+def unreachable(*args):
+    raise AssertionError("inner supremum evaluated")
+
+
 class TestPhiGluskin:
     def test_clamps_to_one_for_large_m(self):
         for m, n, p, q in [(16, 2, 2, 4.0), (100, 4, 3, 6.0), (81, 3, 2, 4.0)]:
@@ -99,6 +110,46 @@ def angular_oracle_m3_n1(p, q, step=1e-3):
     return best
 
 
+def serial_descent(inst, restarts, seed, max_iter, inner_starts, final_starts):
+    """The brute force one restart at a time, as plain loops: the reference
+    for the lockstep driver.  Returns the value, the median and the stops."""
+    m, n, p, q = inst.m, inst.n, inst.p, inst.q
+    dual = p > 1.0
+    cols = m - n if dual else n
+
+    def sup(frame, z, steps):
+        return dual_sup(frame, p, q, z, steps) if dual else widths._vertex_sup(frame, q)
+
+    values, stops = [coordinate_subspace_bound(inst)], []
+    for child in np.random.SeedSequence(seed).spawn(restarts)[1:]:
+        rng = np.random.default_rng(child)
+        frame = widths._orthonormalize(rng.standard_normal((m, cols)))
+        z_inner = rng.standard_normal((inner_starts, cols))
+        z_final = rng.standard_normal((final_starts, cols))
+        val, state = sup(frame, z_inner, widths.ASCENT_STEPS)
+        step, stop = 0.25, "max_iter"
+        for _ in range(max_iter):
+            grad = np.outer(*state)
+            accepted = False
+            for _ in range(8):
+                trial = widths._orthonormalize(frame - step * grad)
+                tval, tstate = sup(trial, z_inner, widths.ASCENT_STEPS)
+                if tval < val - 1e-14:
+                    frame, val, state = trial, tval, tstate
+                    step = min(step * 1.5, 1.0)
+                    accepted = True
+                    break
+                step *= 0.5
+                if step < 1e-10:
+                    break
+            if not accepted:
+                stop = "stationary"
+                break
+        stops.append(stop)
+        values.append(max(sup(frame, z_final, widths.FINAL_ASCENT_STEPS)[0], val))
+    return min(values), float(np.median(values)), stops
+
+
 class TestBruteForce:
     def test_n_zero_closed_form(self):
         est = ball_width_bruteforce(BallWidthInstance(4, 0, 2, 1), **FAST)
@@ -171,10 +222,7 @@ class TestBruteForce:
 
     def test_one_restart_runs_no_descent(self, monkeypatch):
         # Restart 0 is the coordinate frame at its closed-form value.
-        def unreachable(*args):
-            raise AssertionError("inner supremum evaluated")
-
-        monkeypatch.setattr(widths, "_dual_sup", unreachable)
+        monkeypatch.setattr(widths, "_dual_ascent", unreachable)
         monkeypatch.setattr(widths, "_vertex_sup", unreachable)
         for p, q in [(1.0, 1.5), (1.5, 3.0)]:
             inst = BallWidthInstance(5, 2, p, q)
@@ -189,12 +237,8 @@ class TestBruteForce:
     )
     def test_q_at_most_p_is_the_pietsch_stesin_closed_form(self, shape, exponents):
         (m, n), (p, q) = shape, exponents
-
-        def unreachable(*args):
-            raise AssertionError("inner supremum evaluated")
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(widths, "_dual_sup", unreachable)
+            mp.setattr(widths, "_dual_ascent", unreachable)
             mp.setattr(widths, "_vertex_sup", unreachable)
             est = ball_width_bruteforce(BallWidthInstance(m, n, p, q), restarts=3, seed=1)
         assert est.value == (0.0 if n == m else (m - n) ** (1.0 / q - 1.0 / p))
@@ -209,12 +253,38 @@ class TestBruteForce:
                 if p == 1.0:
                     _, state = widths._vertex_sup(np.eye(m, n), q)
                 else:
-                    frame = np.eye(m)[:, n:]
-                    starts = widths._dual_starts(frame, rng.standard_normal((SWEEP["inner_starts"], m - n)))
-                    _, state = widths._dual_sup(
-                        frame, p / (p - 1.0), q / (q - 1.0), starts, widths.ASCENT_STEPS
-                    )
+                    z = rng.standard_normal((SWEEP["inner_starts"], m - n))
+                    _, state = dual_sup(np.eye(m)[:, n:], p, q, z, widths.ASCENT_STEPS)
                 assert not np.any(np.outer(*state)), (m, n)
+
+    @pytest.mark.parametrize("p, q", [(1.0, 1.5), (1.0, 3.0), (1.5, 3.0), (2.0, 4.0)])
+    def test_lockstep_matches_the_serial_loops(self, p, q):
+        # Same values, medians and stops to the last bit, every n of m = 5 in one call.
+        budget = dict(restarts=4, seed=6, max_iter=20, inner_starts=8, final_starts=16)
+        insts = [BallWidthInstance(5, n, p, q) for n in (1, 2, 3)]
+        for inst, est in zip(insts, widths.ball_widths_bruteforce(insts, **budget)):
+            value, median, stops = serial_descent(inst, **budget)
+            assert (est.value, est.diagnostics["median"], est.diagnostics["stops"]) == (value, median, stops)
+
+    def test_list_form_matches_one_instance_at_a_time(self):
+        # Closed forms and descents mixed; each descent is the one its instance gets alone.
+        for p, q in [(1.0, 1.5), (1.5, 3.0)]:
+            insts = [BallWidthInstance(5, n, p, q) for n in (3, 0, 1, 4, 2)]
+            together = widths.ball_widths_bruteforce(insts, seed=2, **FAST)
+            for inst, est in zip(insts, together):
+                alone = ball_width_bruteforce(inst, seed=2, **FAST)
+                assert (est.value, est.direction, est.method) == (alone.value, alone.direction, alone.method)
+                assert {k: v for k, v in est.diagnostics.items() if k != "frame"} == {
+                    k: v for k, v in alone.diagnostics.items() if k != "frame"
+                }
+                assert np.array_equal(est.diagnostics.get("frame"), alone.diagnostics.get("frame"))
+
+    def test_list_form_needs_one_cell(self):
+        with pytest.raises(ValueError):
+            widths.ball_widths_bruteforce([BallWidthInstance(5, 2, 1.5, 3), BallWidthInstance(5, 2, 1.5, 4)], **FAST)
+        # Closed forms join any list.
+        ests = widths.ball_widths_bruteforce([BallWidthInstance(4, 0, 2, 1), BallWidthInstance(5, 2, 1.5, 3)], **FAST)
+        assert [est.direction for est in ests] == ["two-sided", "upper-bound"]
 
     def test_frame_spans_the_subspace(self):
         for p, q in [(1.0, 1.5), (1.5, 3.0)]:
@@ -264,8 +334,7 @@ class TestNewClosedForms:
             if p == 1.0:
                 value, _ = widths._vertex_sup(widths._complement(flat), q)
             else:
-                starts = widths._dual_starts(flat, rng.standard_normal((4, 1)))
-                value, _ = widths._dual_sup(flat, p / (p - 1.0), q / (q - 1.0), starts, 0)
+                value, _ = dual_sup(flat, p, q, rng.standard_normal((4, 1)), 0)
             exact = rates.closed_form_width(BallWidthInstance(m, m - 1, p, q)).value
             assert exact == m ** (1 / q - 1 / p)
             assert value == pytest.approx(exact, rel=1e-12)
@@ -315,10 +384,8 @@ class TestDualInnerSup:
         rng = np.random.default_rng(7)
         for _ in range(5):
             frame = widths._orthonormalize(rng.standard_normal((3, 2)))
-            starts = widths._dual_starts(frame, rng.standard_normal((SWEEP["final_starts"], 2)))
-            value, _ = widths._dual_sup(
-                frame, p / (p - 1.0), q / (q - 1.0), starts, widths.FINAL_ASCENT_STEPS
-            )
+            z = rng.standard_normal((SWEEP["final_starts"], 2))
+            value, _ = dual_sup(frame, p, q, z, widths.FINAL_ASCENT_STEPS)
             assert value == pytest.approx(dual_ratio_scan(frame, p, q), rel=1e-9)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
@@ -344,13 +411,13 @@ class TestDualInnerSup:
         frame = widths._orthonormalize(rng.standard_normal((m, cols)))
         z = rng.standard_normal((4, cols))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        ratios, grads = widths._dual_ratios(frame, z, p_dual, q_dual)
+        ratios, grads = widths._dual_ratios(z @ frame.T, p_dual, q_dual)
 
         def direct(z):
             absy = np.abs(z @ frame.T)
             return np.sum(absy**p_dual, axis=1) ** (1 / p_dual) / np.sum(absy**q_dual, axis=1) ** (1 / q_dual)
 
-        np.testing.assert_allclose(ratios, direct(z), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ratios[:, 0], direct(z), rtol=1e-13, atol=0)
         if cols == 1:
             return  # the sphere of R^1 is two points: no tangent to check
         # The log ratio along the great circle through z with unit tangent t.
@@ -360,7 +427,7 @@ class TestDualInnerSup:
         h = 1e-6
         up = np.log(direct(math.cos(h) * z + math.sin(h) * tangents))
         down = np.log(direct(math.cos(h) * z - math.sin(h) * tangents))
-        slopes = np.sum((grads @ frame) * tangents, axis=1)
+        slopes = np.sum(grads * (tangents @ frame.T), axis=1)
         np.testing.assert_allclose((up - down) / (2 * h), slopes, rtol=1e-5, atol=1e-7)
 
     @settings(max_examples=40, deadline=None)
@@ -375,20 +442,81 @@ class TestDualInnerSup:
         # ascent ends where it starts.
         rng = np.random.default_rng(seed)
         frame = widths._orthonormalize(rng.standard_normal((m, 1)))
-        starts = widths._dual_starts(frame, rng.standard_normal((8, 1)))
-        value, (grad, z) = widths._dual_sup(frame, p_dual, q_dual, starts, 0)
+        starts = rng.standard_normal((8, 1))
+        ((value, (grad, z)),) = widths._dual_sups([frame], [starts], p_dual, q_dual, 0)
         for steps in (widths.ASCENT_STEPS, widths.FINAL_ASCENT_STEPS):
-            ascended, (ascended_grad, ascended_z) = widths._dual_sup(frame, p_dual, q_dual, starts, steps)
+            ((ascended, (ascended_grad, ascended_z)),) = widths._dual_sups([frame], [starts], p_dual, q_dual, steps)
             assert ascended == value
             assert np.array_equal(ascended_grad, grad) and np.array_equal(ascended_z, z)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, rates.DESK_SCALE_MAX_DIM),
+        problems=st.integers(1, 4),
+        p_dual=st.floats(1.01, 16.0),
+        q_dual=st.floats(1.01, 16.0),
+    )
+    def test_every_iterate_is_a_unit_row_of_its_span(self, seed, m, problems, p_dual, q_dual):
+        # Frames of different widths share one batch: each keeps to its own span.
+        rng = np.random.default_rng(seed)
+        frames = [widths._orthonormalize(rng.standard_normal((m, rng.integers(1, m + 1)))) for _ in range(problems)]
+        proj = np.stack([w @ w.T for w in frames])
+        starts = np.stack([rng.standard_normal((6, w.shape[1])) @ w.T for w in frames])
+        for steps in range(widths.ASCENT_STEPS + 1):
+            _, _, y = widths._dual_ascent(proj, starts, p_dual, q_dual, steps)
+            np.testing.assert_allclose(np.linalg.norm(y, axis=-1), 1.0, rtol=0, atol=1e-12)
+            assert np.max(np.abs(y - y @ proj)) <= 1e-12
+
+    @pytest.mark.parametrize("p_dual, q_dual", [(700.0, 1.5), (1001.0, 1.5), (5000.0, 3.0)])
+    def test_ratios_near_p_one_scale_by_the_row_max(self, p_dual, q_dual):
+        # Unscaled, |y|^p' of a unit row of 8 entries can underflow to 0.
+        rng = np.random.default_rng(9)
+        y = rng.standard_normal((5, 8))
+        y /= np.linalg.norm(y, axis=1, keepdims=True)
+        ratios, grads = widths._dual_ratios(y, p_dual, q_dual)
+
+        def log_norm(y, r):  # log-sum-exp, free of underflow
+            a = r * np.log(np.abs(y))
+            top = np.max(a, axis=1)
+            return (top + np.log(np.sum(np.exp(a - top[:, None]), axis=1))) / r
+
+        def log_ratio(y):
+            return log_norm(y, p_dual) - log_norm(y, q_dual)
+
+        np.testing.assert_allclose(ratios[:, 0], np.exp(log_ratio(y)), rtol=1e-12, atol=0)
+        tangents = rng.standard_normal(y.shape)
+        tangents -= np.sum(tangents * y, axis=1, keepdims=True) * y
+        tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
+        h = 1e-7
+        up, down = (log_ratio(math.cos(h) * y + sign * math.sin(h) * tangents) for sign in (1, -1))
+        slope = (up - down) / (2 * h)
+        np.testing.assert_allclose(np.sum(grads * tangents, axis=1), slope, rtol=1e-4, atol=1e-6)
+
+    def test_groups_bound_the_ascent_state(self, monkeypatch):
+        # Split into groups of QUADRATURE_BLOCK samples, every frame keeps its result.
+        rng = np.random.default_rng(4)
+        frames = [widths._orthonormalize(rng.standard_normal((5, cols))) for cols in (2, 3, 4, 2, 3)]
+        zs = [rng.standard_normal((11, w.shape[1])) for w in frames]
+        whole = widths._dual_sups(frames, zs, 3.0, 1.5, widths.ASCENT_STEPS)
+        sizes = []
+        ascent = widths._dual_ascent
+
+        def recording(proj, y, *args):
+            sizes.append(y.size)
+            return ascent(proj, y, *args)
+
+        monkeypatch.setattr(widths, "QUADRATURE_BLOCK", 2 * 5 * (5 + 11))
+        monkeypatch.setattr(widths, "_dual_ascent", recording)
+        grouped = widths._dual_sups(frames, zs, 3.0, 1.5, widths.ASCENT_STEPS)
+        assert sizes == [160, 160, 80]
+        for (value, (grad, z)), (gvalue, (ggrad, gz)) in zip(whole, grouped):
+            assert value == gvalue and np.array_equal(grad, ggrad) and np.array_equal(z, gz)
 
     @pytest.mark.parametrize("p, q", [(1.5, 3.0), (1.2, 4.0), (2.0, 3.0)])
     def test_one_column_complement_skips_the_ascent(self, p, q, monkeypatch):
         # n = m - 1 is the closed form m^(1/q - 1/p): no descent, no ascent.
-        def unreachable(*args):
-            raise AssertionError("inner supremum evaluated")
-
-        monkeypatch.setattr(widths, "_dual_sup", unreachable)
+        monkeypatch.setattr(widths, "_dual_ascent", unreachable)
         est = ball_width_bruteforce(BallWidthInstance(5, 4, p, q), seed=1, **SWEEP)
         assert est == (5 ** (1 / q - 1 / p), "two-sided", "closed-form", {"restarts": 0})
 
