@@ -17,7 +17,7 @@ V of R^m on the worst-case distance sup_{x in B_p} dist_q(x, V).
   and the inner supremum is a ratio of two norms over span W, maximized by
   projected gradient ascent from the projections of the e_i and random
   directions.  The ascent runs in y = W z space with the projector
-  P = W W^T, so every problem has the same (starts, m) shape whatever m - n.
+  P = W W^T, so every problem has the same (m, starts) shape whatever m - n.
 
 All descents of one ball_widths_bruteforce call, one per (n, restart), run in
 lockstep.  Each round every active descent proposes its next backtracking
@@ -40,14 +40,12 @@ import numpy as np
 
 from .errors import NonconvergenceError
 from .norms import QUADRATURE_BLOCK, _lq_regress
-from .rates import DESK_SCALE_MAX_DIM, WidthEstimate, closed_form_width, coordinate_subspace_bound
+from .rates import WidthEstimate, closed_form_width, coordinate_subspace_bound
 
 # Projected-ascent steps of the dual inner maximization, during the descent
 # and in each restart's final evaluation.
 ASCENT_STEPS = 40
 FINAL_ASCENT_STEPS = 80
-# The summing vector of _row_sums.
-_ONES = np.ones((DESK_SCALE_MAX_DIM, 1))
 
 
 def _vertex_sup(frame, q):
@@ -75,64 +73,54 @@ def _vertex_sup(frame, q):
     return float(dists[best]), (-grads[best], coeffs[best])
 
 
-def _row_sums(a):
-    """Sums over the last axis of m <= DESK_SCALE_MAX_DIM entries, kept as an
-    axis of 1.  A matrix-vector product: on rows this short it is several
-    times faster than np.sum, and each row's sum is the same in any batch."""
-    return a @ _ONES[: a.shape[-1]]
-
-
 def _dual_ratios(y, p_dual, q_dual):
-    """||y||_{p'} / ||y||_{q'} over the last axis of the unit rows y, and the
-    gradients of the log ratios in y, both with a trailing axis of 1 and 3.
+    """||y||_{p'} / ||y||_{q'} over the columns of y (axis -2), and the
+    gradients of the log ratios in y; the ratios keep that axis as 1.
 
-    Finite exponents only.  Both norms share |y| and the sign of y.  A unit
-    row of m <= DESK_SCALE_MAX_DIM entries has one of size 1/sqrt(8) or
-    more, so its power sums cannot underflow below an exponent of 600.
-    Above it (p close to 1) the rows are scaled by their max.
+    Finite exponents only.  Both norms share |y|, its column max and the
+    sign of y; each is scaled by the column max, so no power overflows or
+    underflows.
     """
     absy = np.abs(y)
-    scaled = max(p_dual, q_dual) > 600.0
-    if scaled:
-        scale = np.max(absy, axis=-1, keepdims=True)
-        absy /= scale
-    pow_p = absy ** (p_dual - 1.0)
-    pow_q = absy ** (q_dual - 1.0)
-    sum_p = _row_sums(pow_p * absy)
-    sum_q = _row_sums(pow_q * absy)
-    grads = pow_p / sum_p
-    grads -= pow_q / sum_q
-    grads *= np.sign(y)
-    if scaled:
-        grads /= scale
+    scale = absy.max(axis=-2, keepdims=True)
+    u = absy / scale
+    pow_p = u ** (p_dual - 1.0)
+    pow_q = u ** (q_dual - 1.0)
+    sum_p = (pow_p * u).sum(axis=-2, keepdims=True)
+    sum_q = (pow_q * u).sum(axis=-2, keepdims=True)
+    grads = np.sign(y) * (pow_p / sum_p - pow_q / sum_q) / scale
     return sum_p ** (1.0 / p_dual) / sum_q ** (1.0 / q_dual), grads
 
 
 def _dual_ascent(proj, y, p_dual, q_dual, steps):
     """Projected gradient ascent of ||y||_{p'} / ||y||_{q'} over the unit
-    sphere of span(proj[k]), from every start row y[k, s] of every problem k.
+    sphere of span(proj[k]), from every start column y[k, :, s] of every
+    problem k.
 
     proj holds the orthogonal projectors P = W W^T of the problems' frames W,
     so the ascent runs in y = W z space, where every problem has the same
-    (starts, m) shape whatever its number of columns.  The log ratio is
-    homogeneous of degree 0, so its gradient is tangent to the sphere, and P
-    keeps each step inside span(W).  Each start keeps its own step, which
-    grows after an improving move and halves after a rejected one, so no
-    start's value ever falls.  A move must raise the ratio by more than
-    1e-15 relative, above its rounding of a few units in the last place, so
-    a step that only moves rounding (any step of a one-column frame, whose
-    sphere is two points) is rejected.  Every iterate is feasible: no value
-    exceeds the true max.  Returns the values (with a trailing axis of 1),
-    their log gradients and the rows y.
+    (m, starts) shape whatever its number of columns.  The starts are
+    columns, so each reduction over the m entries of a start adds m rows of
+    starts at a time, where a reduction over a last axis of m <= 8 entries
+    costs several times more.  The log ratio is homogeneous of degree 0, so
+    its gradient is tangent to the sphere, and P keeps each step inside
+    span(W).  Each start keeps its own step, which grows after an improving
+    move and halves after a rejected one, so no start's value ever falls.  A
+    move must raise the ratio by more than 1e-15 relative, above its
+    rounding of a few units in the last place, so a step that only moves
+    rounding (any step of a one-column frame, whose sphere is two points)
+    is rejected.  Every iterate is feasible: no value exceeds the true max.
+    Returns the values (with an axis of 1 for m), their log gradients and
+    the columns y.
     """
-    y = y / np.sqrt(_row_sums(y * y))
+    y = y / np.sqrt((y * y).sum(axis=-2, keepdims=True))
     vals, grads = _dual_ratios(y, p_dual, q_dual)
     step = np.full(vals.shape, 0.5)
     for _ in range(steps):
-        trial = grads @ proj
+        trial = proj @ grads
         trial *= step
         trial += y
-        trial /= np.sqrt(_row_sums(trial * trial))
+        trial /= np.sqrt((trial * trial).sum(axis=-2, keepdims=True))
         tvals, tgrads = _dual_ratios(trial, p_dual, q_dual)
         up = tvals > vals * (1.0 + 1e-15)
         y = np.where(up, trial, y)
@@ -162,13 +150,13 @@ def _dual_sups(frames, zs, p_dual, q_dual, steps):
         chunk = frames[lo : lo + group]
         proj = np.stack([w @ w.T for w in chunk])
         starts = np.stack(
-            [np.vstack([np.resize(p[np.any(p != 0.0, axis=1)], p.shape), z @ w.T])
+            [np.hstack([np.resize(p[np.any(p != 0.0, axis=1)], p.shape).T, w @ z.T])
              for w, p, z in zip(chunk, proj, zs[lo : lo + group])]
         )
         vals, grads, y = _dual_ascent(proj, starts, p_dual, q_dual, steps)
-        for w, v, g, yk in zip(chunk, vals[..., 0], grads, y):
+        for w, v, g, yk in zip(chunk, vals[:, 0], grads, y):
             best = int(np.argmax(v))
-            out.append((float(v[best]), (v[best] * g[best], w.T @ yk[best])))
+            out.append((float(v[best]), (v[best] * g[:, best], w.T @ yk[:, best])))
     return out
 
 

@@ -411,13 +411,13 @@ class TestDualInnerSup:
         frame = widths._orthonormalize(rng.standard_normal((m, cols)))
         z = rng.standard_normal((4, cols))
         z /= np.linalg.norm(z, axis=1, keepdims=True)
-        ratios, grads = widths._dual_ratios(z @ frame.T, p_dual, q_dual)
+        ratios, grads = widths._dual_ratios(frame @ z.T, p_dual, q_dual)
 
         def direct(z):
             absy = np.abs(z @ frame.T)
             return np.sum(absy**p_dual, axis=1) ** (1 / p_dual) / np.sum(absy**q_dual, axis=1) ** (1 / q_dual)
 
-        np.testing.assert_allclose(ratios[:, 0], direct(z), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(ratios[0], direct(z), rtol=1e-13, atol=0)
         if cols == 1:
             return  # the sphere of R^1 is two points: no tangent to check
         # The log ratio along the great circle through z with unit tangent t.
@@ -427,7 +427,7 @@ class TestDualInnerSup:
         h = 1e-6
         up = np.log(direct(math.cos(h) * z + math.sin(h) * tangents))
         down = np.log(direct(math.cos(h) * z - math.sin(h) * tangents))
-        slopes = np.sum(grads * (tangents @ frame.T), axis=1)
+        slopes = np.sum(grads * (frame @ tangents.T), axis=0)
         np.testing.assert_allclose((up - down) / (2 * h), slopes, rtol=1e-5, atol=1e-7)
 
     @settings(max_examples=40, deadline=None)
@@ -457,24 +457,24 @@ class TestDualInnerSup:
         p_dual=st.floats(1.01, 16.0),
         q_dual=st.floats(1.01, 16.0),
     )
-    def test_every_iterate_is_a_unit_row_of_its_span(self, seed, m, problems, p_dual, q_dual):
+    def test_every_iterate_is_a_unit_vector_of_its_span(self, seed, m, problems, p_dual, q_dual):
         # Frames of different widths share one batch: each keeps to its own span.
         rng = np.random.default_rng(seed)
         frames = [widths._orthonormalize(rng.standard_normal((m, rng.integers(1, m + 1)))) for _ in range(problems)]
         proj = np.stack([w @ w.T for w in frames])
-        starts = np.stack([rng.standard_normal((6, w.shape[1])) @ w.T for w in frames])
+        starts = np.stack([w @ rng.standard_normal((w.shape[1], 6)) for w in frames])
         for steps in range(widths.ASCENT_STEPS + 1):
             _, _, y = widths._dual_ascent(proj, starts, p_dual, q_dual, steps)
-            np.testing.assert_allclose(np.linalg.norm(y, axis=-1), 1.0, rtol=0, atol=1e-12)
-            assert np.max(np.abs(y - y @ proj)) <= 1e-12
+            np.testing.assert_allclose(np.linalg.norm(y, axis=-2), 1.0, rtol=0, atol=1e-12)
+            assert np.max(np.abs(y - proj @ y)) <= 1e-12
 
     @pytest.mark.parametrize("p_dual, q_dual", [(700.0, 1.5), (1001.0, 1.5), (5000.0, 3.0)])
-    def test_ratios_near_p_one_scale_by_the_row_max(self, p_dual, q_dual):
-        # Unscaled, |y|^p' of a unit row of 8 entries can underflow to 0.
+    def test_ratios_near_p_one_scale_by_the_max_entry(self, p_dual, q_dual):
+        # Unscaled, |y|^p' of a unit vector of 8 entries can underflow to 0.
         rng = np.random.default_rng(9)
         y = rng.standard_normal((5, 8))
         y /= np.linalg.norm(y, axis=1, keepdims=True)
-        ratios, grads = widths._dual_ratios(y, p_dual, q_dual)
+        ratios, grads = widths._dual_ratios(y.T, p_dual, q_dual)
 
         def log_norm(y, r):  # log-sum-exp, free of underflow
             a = r * np.log(np.abs(y))
@@ -484,14 +484,14 @@ class TestDualInnerSup:
         def log_ratio(y):
             return log_norm(y, p_dual) - log_norm(y, q_dual)
 
-        np.testing.assert_allclose(ratios[:, 0], np.exp(log_ratio(y)), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(ratios[0], np.exp(log_ratio(y)), rtol=1e-12, atol=0)
         tangents = rng.standard_normal(y.shape)
         tangents -= np.sum(tangents * y, axis=1, keepdims=True) * y
         tangents /= np.linalg.norm(tangents, axis=1, keepdims=True)
         h = 1e-7
         up, down = (log_ratio(math.cos(h) * y + sign * math.sin(h) * tangents) for sign in (1, -1))
         slope = (up - down) / (2 * h)
-        np.testing.assert_allclose(np.sum(grads * tangents, axis=1), slope, rtol=1e-4, atol=1e-6)
+        np.testing.assert_allclose(np.sum(grads * tangents.T, axis=0), slope, rtol=1e-4, atol=1e-6)
 
     def test_groups_bound_the_ascent_state(self, monkeypatch):
         # Split into groups of QUADRATURE_BLOCK samples, every frame keeps its result.
