@@ -159,30 +159,20 @@ def en_rate(family, p, q, r=None, mu=None, gamma=None):
 
 
 def optimality_verdict(family, p, q, r=None, mu=None, gamma=None):
-    """Is the trigonometric sequence order-optimal for this cell?"""
-    _check_pq(p, q)
+    """Is the trigonometric sequence order-optimal for this cell?  In every
+    family, exactly where the width and the T_n error share an order."""
     wr = width_rate(family, p, q, r=r, mu=mu, gamma=gamma)
     er = en_rate(family, p, q, r=r, mu=mu, gamma=gamma)
+    optimal = "optimal" if wr.same_order(er) else "not-optimal"
     critical_beta = None
     if family == "sobolev":
-        # Optimal exactly where the width and the T_n error share an order.
         regime = _sobolev_regime(p, q, r)[0]
-        optimal = "optimal" if wr.same_order(er) else "not-optimal"
         if regime == "small-smoothness 2<=p<=q":
             critical_beta = _small_smoothness_beta(p, q)
     elif family == "exponential":
-        if r >= 1.0:
-            regime = "analytic-entire"
-            optimal = "optimal"
-        else:
-            if (p >= 2.0 and q >= 2.0) or p <= 2.0 <= q:
-                optimal = "not-optimal"
-            else:
-                optimal = "optimal"
-            regime = "exponential 0<r<1"
+        regime = "analytic-entire" if r >= 1.0 else "exponential 0<r<1"
     else:
         regime = "polylog slow decay"
-        optimal = "optimal"
     return RegimeVerdict(wr, er, optimal, regime, critical_beta)
 
 

@@ -234,11 +234,11 @@ def ball_widths_bruteforce(
     no descent.  Restarts 1.. descend from random frames; for p > 1 on a
     frame of the complement (see the module docstring).  Restart r draws
     its frame from the same seed for every instance.  inner_starts and
-    final_starts random directions join the ascent during the descent and
-    in each restart's final evaluation.  diagnostics['stops'] gives, per
-    descended restart, 'stationary' when no backtracking step lowered its
-    value, else 'max_iter'.  diagnostics['frame'] is an orthonormal m x n
-    frame of the best subspace.
+    final_starts random directions feed only the p > 1 ascent, during the
+    descent and in each restart's final evaluation.  diagnostics['stops']
+    gives, per descended restart, 'stationary' when no backtracking step
+    lowered its value, else 'max_iter'.  diagnostics['frame'] is an
+    orthonormal m x n frame of the best subspace.
     """
     results = [closed_form_width(inst) for inst in instances]
     todo = [inst for inst, est in zip(instances, results) if est is None]
@@ -265,12 +265,12 @@ def ball_widths_bruteforce(
             rng = np.random.default_rng(child)
             frames.append(_orthonormalize(rng.standard_normal((m, cols))))
             # Fixed random starts per restart keep the objective
-            # deterministic along the descent path.
-            z_inner.append(rng.standard_normal((inner_starts, cols)))
-            z_final.append(rng.standard_normal((final_starts, cols)))
-    vals, stops = _descend(frames, z_inner, sups, max_iter)
-    # The richer final start set can only raise the sup estimate.
-    found = [max(final, val) for (final, _), val in zip(sups(frames, z_final, FINAL_ASCENT_STEPS), vals)]
+            # deterministic along the descent path; the p = 1 vertex sup takes none.
+            z_inner.append(rng.standard_normal((inner_starts, cols)) if dual else None)
+            z_final.append(rng.standard_normal((final_starts, cols)) if dual else None)
+    found, stops = _descend(frames, z_inner, sups, max_iter)
+    if dual:  # The richer final start set can only raise the sup estimate.
+        found = [max(final, val) for (final, _), val in zip(sups(frames, z_final, FINAL_ASCENT_STEPS), found)]
 
     descended = []
     for k, inst in enumerate(todo):

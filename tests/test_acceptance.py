@@ -244,7 +244,8 @@ GOLDEN_SOBOLEV = {
 
 GOLDEN_EXP_SMALL_R = {
     (1.5, 1.2): "optimal", (1.2, 1.8): "optimal",
-    (1.5, 3.0): "not-optimal", (3.0, 4.0): "not-optimal", (3.0, 3.0): "not-optimal",
+    # At q <= p with p, q >= 2 the width and E_n are both exp(-mu n^r).
+    (1.5, 3.0): "not-optimal", (3.0, 4.0): "not-optimal", (3.0, 3.0): "optimal",
 }
 
 
@@ -265,7 +266,7 @@ def test_criterion_10_catalog_golden_verdicts():
             mismatches.append((rec["family"], key, rec["params"], rec["verdict"], expected))
     spot_ok = (
         catalog_record("sobolev", 4.0, 2.0, r=3.0)["verdict"] == "optimal"
-        and catalog_record("exponential", 3.0, 3.0, mu=1.0, r=0.5)["verdict"] == "not-optimal"
+        and catalog_record("exponential", 3.0, 3.0, mu=1.0, r=0.5)["verdict"] == "optimal"
         and catalog_record("exponential", 3.0, 3.0, mu=1.0, r=1.0)["verdict"] == "optimal"
     )
     ok = len(records) == 40 and not mismatches and spot_ok

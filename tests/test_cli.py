@@ -437,6 +437,14 @@ class TestCatalogCommand:
         assert rec["verdict"] == "optimal"
         assert rec["width_rate"] == "n^-3"
 
+    def test_exponential_same_order_cell_is_optimal(self, tmp_path):
+        args = ["--family", "exponential", "--p", "3", "--q", "3", "--r", "0.5", "--mu", "1"]
+        assert run(["catalog", *args, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["width_rate"] == row["en_rate"] == "exp(-1·n^0.5)"
+        assert row["verdict"] == "optimal"
+
     def test_all_grid(self, tmp_path):
         assert run(["catalog", "--all", "--out", str(tmp_path)]) == 0
         with open(tmp_path / "results.csv", newline="") as fh:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from widthlab import (
@@ -117,12 +117,14 @@ class TestOptimalityVerdict:
 
     def test_exponential_not_optimal(self):
         assert (
-            optimality_verdict("exponential", 3.0, 3.0, mu=1.0, r=0.5).optimal
-            == "not-optimal"
-        )
-        assert (
             optimality_verdict("exponential", 1.5, 3.0, mu=1.0, r=0.5).optimal
             == "not-optimal"
+        )
+        # At p = q the width and E_n are both exp(-mu n^r): no power of n
+        # separates them, so the cell is optimal.
+        assert (
+            optimality_verdict("exponential", 3.0, 3.0, mu=1.0, r=0.5).optimal
+            == "optimal"
         )
 
     def test_exponential_small_exponents_optimal(self):
@@ -140,6 +142,28 @@ class TestOptimalityVerdict:
     def test_polylog_optimal_everywhere(self):
         for p, q in [(1.5, 3.0), (3.0, 1.5), (2.5, 2.5), (4.0, 4.0)]:
             assert optimality_verdict("polylog", p, q, gamma=1.0).optimal == "optimal"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        family=st.sampled_from(["sobolev", "exponential", "polylog"]),
+        p=st.one_of(st.just(2.0), st.floats(1.1, 8.0)),
+        q=st.one_of(st.just(2.0), st.floats(1.1, 8.0)),
+        diagonal=st.booleans(),
+        r=st.floats(0.05, 4.0),
+        mu=st.floats(0.1, 4.0),
+        gamma=st.floats(0.0, 4.0),
+    )
+    @example(family="exponential", p=3.0, q=3.0, diagonal=False, r=0.5, mu=1.0, gamma=0.0)
+    @example(family="exponential", p=1.5, q=2.0, diagonal=False, r=0.5, mu=1.0, gamma=0.0)
+    def test_optimal_exactly_where_width_and_error_share_an_order(self, family, p, q, diagonal, r, mu, gamma):
+        q = p if diagonal else q
+        params = {"sobolev": {"r": r}, "exponential": {"r": r, "mu": mu}, "polylog": {"gamma": gamma}}[family]
+        try:
+            verdict = optimality_verdict(family, p, q, **params)
+        except UncoveredRegimeError:
+            return
+        same = width_rate(family, p, q, **params).same_order(en_rate(family, p, q, **params))
+        assert verdict.optimal == ("optimal" if same else "not-optimal")
 
     def test_critical_beta_only_in_small_smoothness(self):
         verdict = optimality_verdict("sobolev", 2.5, 4.0, r=0.2)

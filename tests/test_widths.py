@@ -230,6 +230,16 @@ class TestBruteForce:
             assert est.value == coordinate_subspace_bound(inst)
             assert est.diagnostics["stops"] == []
 
+    def test_p_one_scores_each_descended_frame_once(self, monkeypatch):
+        # The vertex sup is exact and takes no starts, so a final evaluation
+        # would only repeat the descent's value: max_iter=0 runs one call per
+        # descended (n, restart) problem and no more.
+        vertex_sup, calls = widths._vertex_sup, []
+        monkeypatch.setattr(widths, "_vertex_sup", lambda frame, q: calls.append(q) or vertex_sup(frame, q))
+        insts = [BallWidthInstance(5, n, 1.0, 3.0) for n in (1, 2, 3)]
+        widths.ball_widths_bruteforce(insts, restarts=3, seed=1, max_iter=0)
+        assert len(calls) == 3 * 2
+
     @settings(max_examples=60, deadline=None)
     @given(
         shape=st.integers(1, rates.DESK_SCALE_MAX_DIM).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
