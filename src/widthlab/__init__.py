@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "classes": (
         "Exponential", "MultiplierKernel", "PolyLog", "Polynomial", "SearchReport", "convolution_constant",
-        "en_exact_l2", "en_lower_search",
+        "en_lower_search",
     ),
     "errors": (
         "ConfigError", "DegenerateDataError", "DimensionGuardError", "GridTooCoarseError",

@@ -1,6 +1,7 @@
 """Convolution classes K * U_p: the kernel model, and worst-case approximation
-by trigonometric polynomials, exact at p = q = 2, else a closed-form lower
-estimate from the harmonics just above degree n.
+by trigonometric polynomials: one closed form, the best single harmonic beyond
+degree n, which is the exact worst case at p = q = 2 and a lower estimate
+elsewhere.
 
 The coefficients come from `math`, one at a time, so nothing here imports
 numpy; `fourier` turns them into an array where it needs one.
@@ -96,11 +97,23 @@ class MultiplierKernel:
             n = self.truncation
         return [self.coefficient(k) for k in range(1, n + 1)]
 
-    def tail_max(self, n):
-        """max lambda_k over n < k <= truncation, for 0 <= n < truncation."""
-        if self.family.monotone:
-            return max(self.coefficient(n + 1), self.coefficient(self.truncation))
-        return max(map(self.coefficient, range(n + 1, self.truncation + 1)))
+    def tail_argmax(self, n):
+        """The first k with the largest lambda_k over n < k <= truncation, for
+        0 <= n < truncation.
+
+        A monotone family peaks at k = n+1 unless it grows, and then first
+        reaches lambda_truncation at the k that bisection finds.
+        """
+        lo, hi = n + 1, self.truncation
+        if not self.family.monotone:
+            return max(range(lo, hi + 1), key=self.coefficient)
+        top = self.coefficient(hi)
+        if self.coefficient(lo) >= top:
+            return lo
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if self.coefficient(mid) >= top else (mid, hi)
+        return hi
 
 
 def convolution_constant():
@@ -137,44 +150,34 @@ def _cos_lp_norm(p):
     return integral ** (1.0 / p)
 
 
-def en_exact_l2(kernel, n):
-    """Worst-case L_2 error of the degree-n partial sum over K * U_2.
-
-    Equals the convolution constant times the largest coefficient beyond
-    degree n (for nonincreasing coefficients that is lambda_{n+1}); 0 for
-    n >= truncation, where the class lies in T_n.
-    """
-    _check_degree(n)
-    if n >= kernel.truncation:
-        return 0.0
-    return convolution_constant() * kernel.tail_max(n)
-
-
-class SearchReport(namedtuple("SearchReport", "value evaluated winner k", defaults=(None,))):
-    """The value of one en_lower_search, how many harmonics it scored and the
-    winner: "harmonic" with its k, or "none" when every harmonic scored 0 or
-    none lies within the truncation."""
+class SearchReport(namedtuple("SearchReport", "value winner k", defaults=(None,))):
+    """The value of one en_lower_search and its winner: "harmonic" with its k,
+    or "none" when no harmonic lies within the truncation or the best scores 0."""
 
     __slots__ = ()
 
 
 def en_lower_search(kernel, p, q, n):
-    """Lower estimate of the worst-case T_n error over K * U_p in L_q.
+    """Worst-case T_n error over K * U_p in L_q: exact at p = q = 2, else a
+    lower estimate.
 
     The largest exact error of the unit-norm members K * cos kx / ||cos||_p,
-    k = n+1..n+8 up to the truncation (0 when none lies within it):
-    convolution_constant() lambda_k ||cos||_q / ||cos||_p, as for k > n the
-    best L_q approximation of cos kx from T_n is 0.  Proof: the best
-    approximations form a convex set that x -> x + 2pi/k maps onto itself;
-    averaging one over those k shifts leaves a constant c, also a best
-    approximation; x -> x + pi/k maps cos kx to -cos kx, so -c is one too,
-    and by convexity so is 0.  Returns a SearchReport.
+    n < k <= truncation (0 when none lies within it): convolution_constant()
+    lambda_k ||cos||_q / ||cos||_p, as for k > n the best L_q approximation of
+    cos kx from T_n is 0.  Proof: the best approximations form a convex set
+    that x -> x + 2pi/k maps onto itself; averaging one over those k shifts
+    leaves a constant c, also a best approximation; x -> x + pi/k maps cos kx
+    to -cos kx, so -c is one too, and by convexity so is 0.  At p = q = 2 no
+    member of K * U_2 does better, by Parseval.  Returns a SearchReport.
     """
     _check_degree(n)
     _check_exponents(p, q)
-    lam = [kernel.coefficient(k) for k in range(n + 1, min(n + 8, kernel.truncation) + 1)]
-    best = max(lam, default=0.0)
-    value = convolution_constant() * best * _cos_lp_norm(q) / _cos_lp_norm(p)
+    if n >= kernel.truncation:
+        return SearchReport(0.0, "none")
+    k = kernel.tail_argmax(n)
+    value = convolution_constant() * kernel.coefficient(k)
+    if p != q:
+        value = value * _cos_lp_norm(q) / _cos_lp_norm(p)
     if value > 0.0:
-        return SearchReport(value, len(lam), "harmonic", n + 1 + lam.index(best))
-    return SearchReport(0.0, len(lam), "none")
+        return SearchReport(value, "harmonic", k)
+    return SearchReport(0.0, "none")

@@ -164,30 +164,23 @@ def _kernel_from_config(config):
 
 
 def run_approx(config):
-    """Error E_n of a kernel class: exact at p = q = 2, else a harmonic-scan lower estimate."""
-    from .classes import _check_exponents, en_exact_l2, en_lower_search
+    """Error E_n of a kernel class from its best harmonic beyond n: exact at p = q = 2, else a lower estimate."""
+    from .classes import _check_exponents, en_lower_search
     _require(config, "n_list")
     p, q = config["p"], config["q"]
     # Before the kernel: its polylog exponent 1/p - 1/q needs p, q != 0.
     _check_exponents(p, q)
     kernel = _kernel_from_config(config)
-    exact = p == 2.0 and q == 2.0
-    n_list = [int(n) for n in config["n_list"]]
+    quantity = "en_exact_l2" if p == q == 2.0 else "en_lower_search"
 
     rows, searches = [], []
-    for n in n_list:
-        if exact:
-            rows.append((n, "en_exact_l2", en_exact_l2(kernel, n)))
-        else:
-            search = en_lower_search(kernel, p, q, n)
-            rows.append((n, "en_lower_search", search.value))
-            # Per n: harmonics scored, and the winning harmonic k (or none).
-            searches.append({"n": n, "candidates": search.evaluated, "winner": search.winner, "k": search.k})
-    report = {"quantities": sorted({r[1] for r in rows})}
-    if searches:
-        report["search"] = searches
-    series = _series_from_rows(rows)
-    return rows, ("n", "quantity", "value"), report, series
+    for n in (int(n) for n in config["n_list"]):
+        search = en_lower_search(kernel, p, q, n)
+        rows.append((n, quantity, search.value))
+        # Per n: the winning harmonic k (or none).
+        searches.append({"n": n, "winner": search.winner, "k": search.k})
+    report = {"quantities": [quantity], "search": searches}
+    return rows, ("n", "quantity", "value"), report, _series_from_rows(rows)
 
 
 def run_widths(config):

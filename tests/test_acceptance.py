@@ -22,7 +22,7 @@ from widthlab import (
     ball_width_bruteforce,
     best_approx,
     coordinate_subspace_bound,
-    en_exact_l2,
+    en_lower_search,
     fit_rate,
     lower_bound_pipeline,
     mz_ratio_stats,
@@ -136,7 +136,7 @@ def test_criterion_06_log_kernel_rate_and_lower_bound():
     start = time.monotonic()
     kernel = MultiplierKernel(PolyLog(0.0, 1.0), truncation=2048)
     ns = [2**k for k in range(3, 11)]
-    uppers = [en_exact_l2(kernel, n) for n in ns]
+    uppers = [en_lower_search(kernel, 2.0, 2.0, n).value for n in ns]
     ratios = [u * math.log(n) for n, u in zip(ns, uppers)]
     spread = max(ratios) / min(ratios)
     lowers = [lower_bound_pipeline(1.0, 2.0, 2.0, n).lower_bound for n in ns]
@@ -224,7 +224,7 @@ def test_criterion_09_rate_fit_recovery():
                 failures.append((kind, params, f"{key}: {got:.4g} vs {truth:.4g}"))
     kernel = MultiplierKernel(Polynomial(2.0), truncation=1024)
     ns = [2**k for k in range(3, 10)]
-    model, _ = fit_rate([(n, en_exact_l2(kernel, n)) for n in ns])
+    model, _ = fit_rate([(n, en_lower_search(kernel, 2.0, 2.0, n).value) for n in ns])
     sanity_ok = model.kind == "poly" and abs(model.a - 2.0) <= 0.05
     elapsed = time.monotonic() - start
     ok = not failures and sanity_ok

@@ -10,7 +10,6 @@ from widthlab import (
     OutOfBranchError,
     TrigPoly,
     best_approx,
-    en_exact_l2,
     en_lower_search,
     lower_bound_pipeline,
     synthesize,
@@ -79,7 +78,7 @@ class TestKernelCoefficients:
             MultiplierKernel(family, truncation=k)
 
     @pytest.mark.parametrize("n", [0, 8, 10**6, 10**15])
-    def test_scan_evaluates_at_most_eight_coefficients(self, monkeypatch, n):
+    def test_monotone_tail_evaluates_two_ends(self, monkeypatch, n):
         kernel = MultiplierKernel(Polynomial(1.0), truncation=10**18)
         evaluated = []
         coefficient = Polynomial.coefficient
@@ -89,28 +88,45 @@ class TestKernelCoefficients:
             return coefficient(family, k)
 
         monkeypatch.setattr(Polynomial, "coefficient", counted)
-        search = en_lower_search(kernel, 1.5, 3.0, n)
-        assert evaluated == list(range(n + 1, n + 9)) and search.evaluated == 8
-        evaluated.clear()
-        assert en_exact_l2(kernel, n) == pytest.approx(0.5 / (n + 1), rel=1e-15)
-        assert evaluated == [n + 1, 10**18]
+        for p, q in [(2.0, 2.0), (1.5, 3.0), (1.0, 1.2), (4.0, 1.5)]:
+            evaluated.clear()
+            search = en_lower_search(kernel, p, q, n)
+            assert search.value == pytest.approx(0.5 / (n + 1) * cos_norm(q) / cos_norm(p), rel=1e-14)
+            assert search.k == n + 1 and sorted(evaluated) == [n + 1, n + 1, 10**18]
+
+    def test_growing_tail_bisects_to_the_first_maximum(self, monkeypatch):
+        # k^0.5 rounds to 1e9 over the last 64 harmonics up to 10^18, so the
+        # first maximum lies before the truncation.
+        kernel = MultiplierKernel(Polynomial(-0.5), truncation=10**18)
+        evaluated = []
+        coefficient = Polynomial.coefficient
+
+        def counted(family, k):
+            evaluated.append(k)
+            return coefficient(family, k)
+
+        monkeypatch.setattr(Polynomial, "coefficient", counted)
+        k = en_lower_search(kernel, 1.5, 3.0, 8).k
+        # The two ends, at most ceil(log2(10^18)) = 60 bisection steps and the winner.
+        assert len(evaluated) <= 63
+        assert kernel.coefficient(k) == kernel.coefficient(10**18) > kernel.coefficient(k - 1) and k < 10**18
 
 
 class TestEnExactL2:
     def test_constant_sequence(self):
         kernel = MultiplierKernel(Polynomial(0.0), truncation=16)
         for n in (0, 3, 10):
-            assert en_exact_l2(kernel, n) == pytest.approx(0.5)
+            assert en_lower_search(kernel, 2.0, 2.0, n).value == pytest.approx(0.5)
 
     def test_exponential_tail(self):
         kernel = MultiplierKernel(Exponential(1.0, 1.0), truncation=64)
-        assert en_exact_l2(kernel, 3) == pytest.approx(0.5 * math.exp(-4))
+        assert en_lower_search(kernel, 2.0, 2.0, 3).value == pytest.approx(0.5 * math.exp(-4))
 
     def test_truncation_guard(self):
         # For n >= truncation the class lies in T_n, as the scan also reports.
         kernel = MultiplierKernel(Polynomial(0.0), truncation=4)
-        assert en_exact_l2(kernel, 4) == en_exact_l2(kernel, 9) == 0.0
-        assert en_lower_search(kernel, 1.5, 3.0, 4).value == 0.0
+        for p, q in [(2.0, 2.0), (1.5, 3.0)]:
+            assert en_lower_search(kernel, p, q, 4).value == en_lower_search(kernel, p, q, 9).value == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -123,15 +139,15 @@ class TestEnExactL2:
             st.builds(PolyLog, st.floats(-1.0, 1.0), st.floats(-3.0, 2.0)),
         ),
     )
-    # lambda_k = ln(k+1)^3 / k peaks near k = 19, inside the range.
+    # lambda_k = ln(k+1)^3 / k peaks at k = 16, inside the range.
     @example(n=0, extra=60, family=PolyLog(1.0, -3.0))
     def test_matches_the_full_list_max(self, n, extra, family):
         kernel = MultiplierKernel(family, truncation=n + extra)
-        assert en_exact_l2(kernel, n) == 0.5 * max(kernel.lambdas()[n:])
+        assert en_lower_search(kernel, 2.0, 2.0, n).value == 0.5 * max(kernel.lambdas()[n:])
 
     def test_nonincreasing_in_n(self):
         kernel = MultiplierKernel(PolyLog(0.5, 1.0), truncation=128)
-        vals = [en_exact_l2(kernel, n) for n in (1, 4, 16, 64)]
+        vals = [en_lower_search(kernel, 2.0, 2.0, n).value for n in (1, 4, 16, 64)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_matches_direct_sup_search(self):
@@ -156,7 +172,7 @@ class TestEnExactL2:
             from widthlab import GridFunction
 
             best = max(best, lp_norm(GridFunction(resid), 2.0))
-        assert en_exact_l2(kernel, n) == pytest.approx(best, abs=1e-6)
+        assert en_lower_search(kernel, 2.0, 2.0, n).value == pytest.approx(best, abs=1e-6)
 
 
 class TestCosLpNorm:
@@ -186,18 +202,18 @@ class TestCosLpNorm:
 
 class TestEnLowerSearch:
     def test_agrees_with_exact_l2(self):
+        # At p = q the norm ratio is 1 and is skipped, so every such value is
+        # the exact L_2 value bit for bit: (x c) / c can miss x by one ulp.
         kernel = MultiplierKernel(PolyLog(0.0, 1.0), truncation=64)
-        for n in (4, 10):
-            exact = en_exact_l2(kernel, n)
-            lower = en_lower_search(kernel, 2.0, 2.0, n).value
-            assert lower == pytest.approx(exact, rel=0.02)
-            assert lower <= exact * (1 + 1e-9)
+        for p in (1.2, 1.5, 2.0, 3.0, 400.0):
+            for n in (4, 10):
+                assert en_lower_search(kernel, p, p, n).value == 0.5 * kernel.coefficient(n + 1)
 
     def test_class_inside_subspace(self):
         # exp(-1000 k) underflows to 0 at every k, so every image is 0.
         kernel = MultiplierKernel(Exponential(1000.0, 1.0), truncation=12)
         search = en_lower_search(kernel, 2.0, 3.0, 4)
-        assert (search.value, search.winner, search.evaluated) == (0.0, "none", 8)
+        assert search == (0.0, "none", None)
 
     def test_deterministic(self):
         kernel = MultiplierKernel(PolyLog(0.0, 1.0), truncation=32)
@@ -210,8 +226,9 @@ class TestEnLowerSearch:
     # 1,200 random draws of n, p, q and the truncation.
     ORACLE_RTOL = 1e-4
 
-    # Kernels for the scan properties: truncations below n+8 (7 of the 16
-    # offsets) cut the harmonics n+1..n+8 short.
+    # Kernels for the scan properties, over the whole tail n < k <= n + extra:
+    # decaying and growing ones of every family, and the one kernel not
+    # monotone in k, a PolyLog with rho * gamma < 0.
     SCAN_CASES = dict(
         n=st.integers(0, 40),
         extra=st.integers(1, 16),
@@ -219,46 +236,49 @@ class TestEnLowerSearch:
         q=st.floats(1.2, 6.0),
         family=st.one_of(
             st.builds(Polynomial, st.floats(-2.0, 3.0)),
-            # mu k^r < 745 for k <= 56, so no lambda_k underflows to 0.
-            st.builds(Exponential, st.floats(0.1, 2.0), st.floats(0.3, 1.2)),
-            st.builds(PolyLog, st.floats(0.0, 1.0), st.floats(0.0, 2.0)),
+            # |mu| k^r < 745 for k <= 56, so no lambda_k underflows or overflows.
+            st.builds(Exponential, st.floats(-2.0, 2.0), st.floats(0.3, 1.2)),
+            st.builds(PolyLog, st.floats(-1.0, 1.0), st.floats(-3.0, 2.0)),
         ),
     )
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(**SCAN_CASES)
+    # lambda_k = sqrt(k) grows, so the last harmonic, k = 4096, wins.
+    @example(n=8, extra=4088, p=2.0, q=2.001, family=Polynomial(-0.5))
+    # k^(2^-52) rounds to its top value from k = 91 on, short of the truncation.
+    @example(n=8, extra=192, p=1.5, q=3.0, family=Polynomial(-2.0**-52))
+    # lambda_k = ln(k+1)^3 / k peaks at k = 16, inside the tail.
+    @example(n=2, extra=50, p=1.5, q=3.0, family=PolyLog(1.0, -3.0))
     def test_matches_the_closed_form_harmonic_value(self, n, extra, p, q, family):
         kernel = MultiplierKernel(family, truncation=n + extra)
         lam = kernel.lambdas()
-        ks = range(n + 1, min(n + 9, kernel.truncation + 1))
+        best = max(lam[n:])
         search = en_lower_search(kernel, p, q, n)
-        closed_form = 0.5 * max(lam[k - 1] for k in ks) * cos_norm(q) / cos_norm(p)
-        assert search.value == pytest.approx(closed_form, rel=1e-14)
-        assert search.evaluated == len(ks)
-        if np.all(np.diff(lam) <= 0):
-            assert (search.winner, search.k) == ("harmonic", n + 1)
-        else:
-            assert (search.winner, search.k) == ("harmonic", ks[int(np.argmax(lam[n : ks[-1]]))])
+        assert search.value == pytest.approx(0.5 * best * cos_norm(q) / cos_norm(p), rel=1e-14)
+        assert (search.winner, search.k) == ("harmonic", lam.index(best, n) + 1)
 
     @settings(max_examples=30, deadline=None)
     @given(**SCAN_CASES)
     def test_batches_match_the_one_at_a_time_search(self, n, extra, p, q, family):
-        # The scan scores all its harmonics at once; the oracle solves each
-        # harmonic's best approximation on a grid, one at a time, with its
-        # L_p norm from the quadrature.
+        # The scan scores every harmonic of the tail by its closed form; the
+        # oracle solves each harmonic's best approximation on a grid, one at a
+        # time, with its L_p norm from the quadrature.
         kernel = MultiplierKernel(family, truncation=n + extra)
         lam = kernel.lambdas()
         unit = poly_lp_norm(TrigPoly.harmonic(1), p)
         errors = [
             0.5 * lam[k - 1] * best_approx(synthesize(TrigPoly.harmonic(k), 2**12), n, q)[0] / unit
-            for k in range(n + 1, min(n + 9, kernel.truncation + 1))
+            for k in range(n + 1, kernel.truncation + 1)
         ]
         assert en_lower_search(kernel, p, q, n).value == pytest.approx(max(errors), rel=self.ORACLE_RTOL)
 
     def test_reports_the_winning_harmonic(self):
         kernel = MultiplierKernel(Polynomial(1.0), truncation=4096)
         search = en_lower_search(kernel, 1.5, 3.0, 8)
-        assert (search.winner, search.k, search.evaluated) == ("harmonic", 9, 8)
+        assert (search.winner, search.k) == ("harmonic", 9)
+        growing = MultiplierKernel(Polynomial(-1.0), truncation=4096)
+        assert en_lower_search(growing, 1.5, 3.0, 8).k == 4096
 
     @pytest.mark.parametrize(
         "r, truncation, n", [(1.0, 4096, 8), (0.2, 12, 2)], ids=["harmonic-wins", "small-truncation"]
@@ -272,7 +292,7 @@ class TestEnLowerSearch:
             monkeypatch.setattr(module, name, forbidden)
         kernel = MultiplierKernel(Polynomial(r), truncation=truncation)
         search = en_lower_search(kernel, 1.5, 3.0, n)
-        assert (search.winner, search.k, search.evaluated) == ("harmonic", n + 1, 8)
+        assert (search.winner, search.k) == ("harmonic", n + 1)
 
 
 class TestLowerBoundPipeline:

@@ -282,7 +282,7 @@ class TestImportGraph:
 NAMESPACE = {
     "classes": [
         "Exponential", "MultiplierKernel", "PolyLog", "Polynomial", "SearchReport", "convolution_constant",
-        "en_exact_l2", "en_lower_search",
+        "en_lower_search",
     ],
     "errors": [
         "ConfigError", "DegenerateDataError", "DimensionGuardError", "GridTooCoarseError",
@@ -508,15 +508,32 @@ class TestApproxCommand:
             rows = {(r["n"], r["quantity"]): float(r["value"]) for r in csv.DictReader(fh)}
         assert rows[("8", "en_exact_l2")] == pytest.approx(0.5 * math.log(10) ** -1)
         assert {quantity for _, quantity in rows} == {"en_exact_l2"}
+        report = json.loads(read(tmp_path / "report.json"))["report"]
+        assert report["search"] == [
+            {"n": 8, "winner": "harmonic", "k": 9},
+            {"n": 16, "winner": "harmonic", "k": 17},
+        ]
 
     def test_search_report_per_n(self, tmp_path):
         args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8", "12"]
         assert run(args + ["--out", str(tmp_path)]) == 0
         report = json.loads(read(tmp_path / "report.json"))["report"]
         assert report["search"] == [
-            {"n": 8, "candidates": 8, "winner": "harmonic", "k": 9},
-            {"n": 12, "candidates": 8, "winner": "harmonic", "k": 13},
+            {"n": 8, "winner": "harmonic", "k": 9},
+            {"n": 12, "winner": "harmonic", "k": 13},
         ]
+
+    @pytest.mark.parametrize("q", ["2", "2.001"])
+    def test_growing_kernel_is_scored_over_the_whole_tail(self, tmp_path, q):
+        # lambda_k = sqrt(k) grows, so the last harmonic wins at every n, on
+        # both sides of q = 2: 1/2 sqrt(4096) ||cos||_q / ||cos||_2.
+        args = ["approx", "--family", "sobolev", "--r", "-0.5", "--p", "2", "--q", q, "--n-list", "8", "100"]
+        assert run(args + ["--out", str(tmp_path)]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            values = [float(r["value"]) for r in csv.DictReader(fh)]
+        assert values == 2 * [{"2": 32.0, "2.001": 31.987760847538617}[q]]
+        report = json.loads(read(tmp_path / "report.json"))["report"]
+        assert [s["k"] for s in report["search"]] == [4096, 4096]
 
     def test_output_does_not_depend_on_the_seed(self, tmp_path):
         args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8", "12"]
@@ -558,7 +575,7 @@ class TestApproxCommand:
         with open(tmp_path / "results.csv", newline="") as fh:
             assert [float(r["value"]) for r in csv.DictReader(fh)] == [0.0]
         report = json.loads(read(tmp_path / "report.json"))["report"]
-        assert report["search"] == [{"n": 8, "candidates": 0, "winner": "none", "k": None}]
+        assert report["search"] == [{"n": 8, "winner": "none", "k": None}]
 
     def test_empty_plot_warns_on_stderr(self, tmp_path):
         # n = 8 >= truncation gives the value 0, which the log-scale plot drops.
@@ -812,6 +829,13 @@ class TestWidthsCommand:
         with open(tmp_path / "results.csv", newline="") as fh:
             widths = [float(r["value"]) for r in csv.DictReader(fh) if r["quantity"] == "bruteforce_width"]
         assert widths == [1.0] * 4
+
+    # The vertex IRLS runs out its steps on some m = 5 frames at q <= 1.3, so
+    # this default-budget run exits 3 at 6 of seeds 1..8; the fix removes the marker.
+    @pytest.mark.xfail(strict=True, reason="ROADMAP D14")
+    def test_p_one_small_q_converges(self, tmp_path):
+        args = ["widths", "--m", "5", "--n-list", "1", "2", "3", "--p", "1", "--q", "1.2", "--seed", "1"]
+        assert run(args + ["--out", str(tmp_path)]) == 0
 
     def test_q_below_p_is_closed_form(self, tmp_path):
         # Exact (Pietsch, Stesin): seed 4 made this cell exit 3 under the primal ascent.
