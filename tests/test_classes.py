@@ -78,7 +78,10 @@ class TestKernelCoefficients:
             MultiplierKernel(family, truncation=k)
 
     @pytest.mark.parametrize("n", [0, 8, 10**6, 10**15])
-    def test_monotone_tail_evaluates_two_ends(self, monkeypatch, n):
+    def test_scan_evaluates_at_most_eight_coefficients(self, monkeypatch, n):
+        # A nonincreasing kernel's whole tail up to 10^18 costs three
+        # evaluations at any n: the two ends lambda_{n+1} and lambda_T, and
+        # the winner.
         kernel = MultiplierKernel(Polynomial(1.0), truncation=10**18)
         evaluated = []
         coefficient = Polynomial.coefficient
