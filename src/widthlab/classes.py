@@ -61,7 +61,12 @@ class Exponential:
         self.r = float(r)
 
     def coefficient(self, k):
-        return math.exp(-self.mu * k**self.r)
+        try:
+            return math.exp(-self.mu * k**self.r)
+        except OverflowError:  # k^r beyond the float range, or a growing kernel
+            if self.mu < 0:
+                raise
+            return 0.0 if self.mu > 0 else 1.0
 
 
 class MultiplierKernel:

@@ -97,6 +97,8 @@ def _coerce(key, value, typ):
         if typ is list:
             if isinstance(value, str):
                 value = [v for v in value.replace(",", " ").split() if v]
+            if any(isinstance(v, bool) for v in value):
+                raise ConfigError(f"{key!r} entries must be numbers, got {value!r}")
             values = [float(v) if "." in str(v) or "e" in str(v).lower() else int(v) for v in value]
             # float.is_integer() is False for inf and nan as well.
             if key in INTEGER_LISTS:
@@ -107,8 +109,12 @@ def _coerce(key, value, typ):
             return values
         if typ is bool and isinstance(value, str):
             return value.lower() in ("1", "true", "yes")
+        if typ in (int, float) and isinstance(value, bool):
+            raise ConfigError(f"{key!r} must be a number, got {value!r}")
+        if typ is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key!r} must be an integer, got {value!r}")
         return typ(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
 
 
@@ -127,6 +133,8 @@ def build_config(subcommand, file_config, flag_overrides):
                 config[key] = _coerce(key, value, type(COMMON_DEFAULTS[key]))
             else:
                 raise ConfigError(f"unknown config key {key!r} for {subcommand!r}")
+    if config["seed"] < 0:
+        raise ConfigError(f"'seed' must be >= 0, got {config['seed']}")
     return config
 
 
@@ -410,9 +418,12 @@ def _read_config(path):
         return {}
     with open(path) as fh:
         try:
-            return json.load(fh)
+            config = json.load(fh)
         except ValueError as exc:  # bad JSON, or bytes that are not text
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(config).__name__}")
+    return config
 
 
 def main(argv=None):

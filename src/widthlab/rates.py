@@ -21,6 +21,8 @@ PARSIMONY_RATIO = 10.0
 FIT_XATOL = 1e-12
 # The exp family's r grid, numpy.linspace(0.05, 2.0, 40) point for point.
 R_GRID = [0.05 + i * ((2.0 - 0.05) / 39) for i in range(39)] + [2.0]
+# The exponents that fix a model's order, by kind.
+ORDER_FIELDS = {"poly": ("a",), "polylog": ("a", "g"), "exp": ("mu", "r", "b")}
 
 
 class RateModel(NamedTuple):
@@ -53,19 +55,9 @@ class RateModel(NamedTuple):
         return body if self.b == 0 else f"{body}·n^{self.b:g}"
 
     def same_order(self, other):
-        """True when the two models share family and exponents (constants ignored)."""
-        if self.kind != other.kind:
-            return False
-        tol = 1e-12
-        if self.kind == "poly":
-            return abs(self.a - other.a) < tol
-        if self.kind == "polylog":
-            return abs(self.a - other.a) < tol and abs(self.g - other.g) < tol
-        return (
-            abs(self.mu - other.mu) < tol
-            and abs(self.r - other.r) < tol
-            and abs(self.b - other.b) < tol
-        )
+        """True when the two models share kind and that kind's exponents (constants ignored)."""
+        fields = ORDER_FIELDS[self.kind]
+        return self.kind == other.kind and all(abs(getattr(self, f) - getattr(other, f)) < 1e-12 for f in fields)
 
 
 class RegimeVerdict(NamedTuple):
@@ -115,47 +107,43 @@ def _sobolev_regime(p, q, r):
     raise UncoveredRegimeError(f"sobolev cell (p={p}, q={q}, r={r}) not covered")
 
 
+def _check_family(family, r, mu, gamma):
+    """A known family with its parameters in range; each rate checks sobolev's r itself."""
+    if family == "exponential":
+        if r is None or mu is None or not (r > 0 and mu > 0):
+            raise UncoveredRegimeError("exponential family needs mu > 0, r > 0")
+    elif family == "polylog":
+        if gamma is None or not gamma >= 0:
+            raise UncoveredRegimeError("polylog family needs gamma >= 0")
+    elif family != "sobolev":
+        raise UncoveredRegimeError(f"unknown family {family!r}")
+
+
 def width_rate(family, p, q, r=None, mu=None, gamma=None):
     """Width order for the family at (p, q); constants are normalized to 1."""
     _check_pq(p, q)
+    _check_family(family, r, mu, gamma)
     if family == "sobolev":
         return RateModel("poly", a=_sobolev_regime(p, q, r)[1])
-    if family == "exponential":
-        if r is None or mu is None or r <= 0 or mu <= 0:
-            raise UncoveredRegimeError("exponential family needs mu > 0, r > 0")
-        if r >= 1.0:
-            return RateModel("exp", mu=mu, r=r)
-        if q <= p <= 2.0 or (p >= 2.0 and q >= 2.0):
-            return RateModel("exp", mu=mu, r=r)
-        if p <= q <= 2.0:
-            return RateModel("exp", mu=mu, r=r, b=(1.0 - r) * (1.0 / p - 1.0 / q))
-        if p <= 2.0 <= q:
-            return RateModel("exp", mu=mu, r=r, b=(1.0 - r) * (1.0 / p - 0.5))
-        raise UncoveredRegimeError(f"exponential cell (p={p}, q={q}) not covered")
     if family == "polylog":
-        if gamma is None or gamma < 0:
-            raise UncoveredRegimeError("polylog family needs gamma >= 0")
         return RateModel("polylog", g=gamma)
-    raise UncoveredRegimeError(f"unknown family {family!r}")
+    if r < 1.0 and q < 2.0 < p:  # the one exponential cell with no known width
+        raise UncoveredRegimeError(f"exponential cell (p={p}, q={q}) not covered")
+    return RateModel("exp", mu=mu, r=r, b=max(0.0, 1.0 - r) * max(0.0, 1.0 / p - 1.0 / min(q, 2.0)))
 
 
 def en_rate(family, p, q, r=None, mu=None, gamma=None):
     """Order of the worst-case T_n approximation error for the family."""
     _check_pq(p, q)
+    _check_family(family, r, mu, gamma)
     gap = max(0.0, 1.0 / p - 1.0 / q)
     if family == "sobolev":
         if r is None or r <= gap:
-            raise UncoveredRegimeError(f"sobolev error rate needs r > (1/p - 1/q)_+")
+            raise UncoveredRegimeError("sobolev error rate needs r > (1/p - 1/q)_+")
         return RateModel("poly", a=r - gap)
-    if family == "exponential":
-        if r is None or mu is None or r <= 0 or mu <= 0:
-            raise UncoveredRegimeError("exponential family needs mu > 0, r > 0")
-        return RateModel("exp", mu=mu, r=r, b=max(0.0, 1.0 - r) * gap)
     if family == "polylog":
-        if gamma is None or gamma < 0:
-            raise UncoveredRegimeError("polylog family needs gamma >= 0")
         return RateModel("polylog", g=gamma)
-    raise UncoveredRegimeError(f"unknown family {family!r}")
+    return RateModel("exp", mu=mu, r=r, b=max(0.0, 1.0 - r) * gap)
 
 
 def optimality_verdict(family, p, q, r=None, mu=None, gamma=None):
@@ -179,16 +167,9 @@ def optimality_verdict(family, p, q, r=None, mu=None, gamma=None):
 def catalog_record(family, p, q, r=None, mu=None, gamma=None):
     """One machine-readable catalog record for a single parameter cell."""
     verdict = optimality_verdict(family, p, q, r=r, mu=mu, gamma=gamma)
-    params = {}
-    if r is not None:
-        params["r"] = r
-    if mu is not None:
-        params["mu"] = mu
-    if gamma is not None:
-        params["gamma"] = gamma
     record = {
         "family": family,
-        "params": params,
+        "params": {key: value for key, value in (("r", r), ("mu", mu), ("gamma", gamma)) if value is not None},
         "p": p,
         "q": q,
         "width_rate": verdict.width_rate.describe(),
@@ -348,7 +329,10 @@ def lower_bound_pipeline(gamma, p, q, n, m_override=None):
         m = int(m_override)
     else:
         # q = 2 would give m = n; the width step needs m > n.
-        m = max(math.ceil(n ** (q / 2.0)), n + 1)
+        try:  # an n^{q/2} beyond the float range is above the cap too
+            m = max(math.ceil(n ** (q / 2.0)), n + 1)
+        except OverflowError:
+            m = math.inf
         if m > M_CAP:
             m = M_CAP
             notes.append(f"m capped at {M_CAP}")

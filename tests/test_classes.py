@@ -77,6 +77,14 @@ class TestKernelCoefficients:
         with pytest.raises(InvalidExponentError, match=f"lambda_{k} overflows"):
             MultiplierKernel(family, truncation=k)
 
+    def test_power_beyond_float_range(self):
+        # 4096^90 overflows a float: lambda is exp(-inf) = 0 for mu > 0 and
+        # 1 for mu = 0; a growing kernel still overflows.
+        assert MultiplierKernel(Exponential(1.0, 90.0), truncation=4096).coefficient(4096) == 0.0
+        assert MultiplierKernel(Exponential(0.0, 90.0), truncation=4096).coefficient(4096) == 1.0
+        with pytest.raises(InvalidExponentError, match="lambda_4096 overflows"):
+            MultiplierKernel(Exponential(-1.0, 90.0), truncation=4096)
+
     @pytest.mark.parametrize("n", [0, 8, 10**6, 10**15])
     def test_scan_evaluates_at_most_eight_coefficients(self, monkeypatch, n):
         # A nonincreasing kernel's whole tail up to 10^18 costs three
@@ -329,6 +337,12 @@ class TestLowerBoundPipeline:
         rep = lower_bound_pipeline(1.0, 2.0, 6.0, 512)
         assert rep.m_chosen == M_CAP
         assert "capped" in rep.notes
+
+    @pytest.mark.parametrize("q", [600.0, 700.0])
+    def test_m_capped_where_n_to_the_q_half_overflows(self, q):
+        # 8^350 is beyond the float range, 8^300 is not; both cap alike.
+        rep = lower_bound_pipeline(1.0, 2.0, q, 8)
+        assert (rep.m_chosen, rep.notes) == (M_CAP, f"m capped at {M_CAP}")
 
 
 class TestProjectionBoundedness:

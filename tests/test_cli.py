@@ -10,7 +10,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import widthlab
@@ -43,6 +43,22 @@ class TestBuildConfig:
         config = build_config("pipeline", {}, {"n_list": ["8", "16"]})
         assert config["n_list"] == [8, 16]
 
+    @pytest.mark.parametrize(
+        "file_config",
+        [{"m": 5.9}, {"restarts": 2.7}, {"m": math.inf}, {"truncation": True}, {"p": False},
+         {"n_list": [True]}, {"m_list": [4, False]}, {"seed": True}, {"seed": -1}],
+    )
+    def test_bad_number_rejected(self, file_config):
+        subcommand = next(s for s, schema in cli.SCHEMAS.items() if set(file_config) <= set(schema) | {"seed"})
+        with pytest.raises(ConfigError):
+            build_config(subcommand, file_config, {})
+
+    def test_integral_float_for_an_integer_key(self):
+        config = build_config("widths", {"m": 5.0, "restarts": 2.0, "seed": 3.0}, {})
+        assert (config["m"], config["restarts"], config["seed"]) == (5, 2, 3)
+        with pytest.raises(ConfigError):  # a flag string takes no fraction
+            build_config("widths", {}, {"restarts": "2.0"})
+
     def test_threads_option_removed(self, monkeypatch):
         monkeypatch.setenv("WIDTHLAB_THREADS", "abc")
         assert "threads" not in build_config("mz", {}, {})
@@ -60,8 +76,10 @@ class TestListValues:
             ["approx", "--n-list", "1e400"],
             ["pipeline", "--n-list", "1e400"],
             ["widths", "--m", "3", "--n-list", "-1"],
+            ["mz", "--m-list", "4", "--p-list", "2", "--seed", "-1"],
+            ["widths", "--m", "5", "--n-list", "2", "--p", "1.5", "--q", "3", "--seed", "-1"],
         ],
-        ids=["approx-inf", "pipeline-inf", "widths-negative"],
+        ids=["approx-inf", "pipeline-inf", "widths-negative", "mz-negative-seed", "widths-negative-seed"],
     )
     def test_bad_entry_is_config_error(self, tmp_path, capsys, args):
         out = tmp_path / "out"
@@ -117,7 +135,9 @@ class TestExitCodes:
             assert not out.exists()
 
     @pytest.mark.parametrize(
-        "content, code", [(None, 4), (b"{", 2), (b"\xff\xfe", 2)], ids=["missing", "bad-json", "not-text"]
+        "content, code",
+        [(None, 4), (b"{", 2), (b"\xff\xfe", 2), (b"[1, 2]", 2), (b"null", 2), (b"3", 2)],
+        ids=["missing", "bad-json", "not-text", "array", "null", "number"],
     )
     def test_config_file(self, tmp_path, capsys, content, code):
         cfg = tmp_path / "c.json"
@@ -127,6 +147,43 @@ class TestExitCodes:
         assert run(["catalog", "--all", "--config", str(cfg), "--out", str(out)]) == code
         assert capsys.readouterr().err.count("\n") == 1
         assert not out.exists()
+
+    # Keys whose value sets a run's cost, and list keys: their numbers stay
+    # at most 4, so that every drawn run is desk-scale.
+    BOUNDED = {"m", "truncation", "restarts", "inner_starts", "final_starts", "max_iter", "trials"}
+
+    @staticmethod
+    def json_values(numbers, strings):
+        scalars = st.one_of(st.none(), st.booleans(), numbers, strings)
+        return st.one_of(
+            scalars,
+            st.lists(scalars, max_size=3),
+            st.dictionaries(st.text(max_size=2), scalars, max_size=2),
+        )
+
+    @pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_no_input_gives_a_traceback(self, tmp_path, monkeypatch, subcommand, data):
+        # A relative 'input' path resolves in tmp_path, never in the checkout.
+        monkeypatch.chdir(tmp_path)
+        small = st.one_of(st.integers(-4, 4), st.sampled_from([math.nan, math.inf, -math.inf, -1.5, 0.5, 2.5]))
+        free = st.one_of(small, st.sampled_from([1e300, -1e300, 1.2, 3.0]))
+        words = st.sampled_from(["", "x", "2", "-3", "2.5", "1 2", "nan", "sobolev", "exponential", "polylog"])
+        values = self.json_values(free, st.one_of(st.text(max_size=3), words))
+        bounded = self.json_values(small, words)
+        keys = list(cli.SCHEMAS[subcommand]) + ["seed"]
+        config = data.draw(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    key: bounded if key in self.BOUNDED or key.endswith("_list") else values for key in keys
+                },
+            )
+        )
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        args = [subcommand, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out"), "--no-plot"]
+        assert run(args) in (0, 2, 3, 4)
 
     def test_solver_cap_in_widths_exits_3(self, tmp_path, monkeypatch):
         monkeypatch.setattr(widthlab.norms, "IRLS_MAX_ITER", 1)
@@ -364,6 +421,11 @@ class TestPipelineCommand:
         doc_a["config"]["out"] = doc_b["config"]["out"] = ""
         assert doc_a == doc_b
 
+    def test_cap_where_n_to_the_q_half_overflows(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["pipeline", "--n-list", "8", "--p", "2", "--q", "700", "--out", str(out)]) == 0
+        assert json.loads(read(out / "report.json"))["report"]["notes"] == ["m capped at 1000000"]
+
     def test_capped_m_warns_on_stderr(self, tmp_path):
         out = tmp_path / "out"
         args = ["pipeline", "--gamma", "1", "--p", "1.5", "--q", "3", "--n-list", "10001", "--out", str(out)]
@@ -513,6 +575,14 @@ class TestApproxCommand:
             {"n": 8, "winner": "harmonic", "k": 9},
             {"n": 16, "winner": "harmonic", "k": 17},
         ]
+
+    def test_coefficient_below_the_float_range(self, tmp_path):
+        # lambda_4096 = exp(-4096^90) is 0, not an overflow.
+        args = ["approx", "--family", "exponential", "--mu", "1", "--r", "90", "--n-list", "0", "2"]
+        assert run(args + ["--p", "2", "--q", "2", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            values = [float(row["value"]) for row in csv.DictReader(fh)]
+        assert values == [0.5 * math.exp(-1.0), 0.0]
 
     def test_search_report_per_n(self, tmp_path):
         args = ["approx", "--family", "sobolev", "--p", "1.5", "--q", "3", "--n-list", "8", "12"]

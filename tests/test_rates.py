@@ -41,6 +41,37 @@ class TestWidthRate:
         assert model.b == pytest.approx((1 - 0.5) * (2 / 3 - 0.5))
         assert model.b == pytest.approx(1 / 12)
 
+    @staticmethod
+    def exponential_b_table(p, q, r):
+        """The exponential width exponent b by cases; None where no row covers the cell."""
+        if r >= 1.0 or q <= p <= 2.0 or (p >= 2.0 and q >= 2.0):
+            return 0.0
+        if p <= q <= 2.0:
+            return (1.0 - r) * (1.0 / p - 1.0 / q)
+        if p <= 2.0 <= q:
+            return (1.0 - r) * (1.0 / p - 0.5)
+        return None  # q < 2 < p
+
+    @given(
+        p=st.floats(1.0, 8.0, exclude_min=True),
+        q=st.floats(1.0, 8.0, exclude_min=True),
+        r=st.floats(0.0, 3.0, exclude_min=True),
+    )
+    @example(p=2.0, q=2.0, r=0.5)
+    @example(p=2.0, q=1.5, r=0.5)
+    @example(p=1.5, q=2.0, r=0.5)
+    @example(p=2.0, q=3.0, r=0.5)
+    @example(p=3.0, q=2.0, r=0.5)
+    @example(p=3.0, q=1.5, r=1.0)
+    def test_exponential_b_matches_the_case_table(self, p, q, r):
+        b = self.exponential_b_table(p, q, r)
+        if b is None:
+            with pytest.raises(UncoveredRegimeError, match="not covered"):
+                width_rate("exponential", p, q, mu=1.0, r=r)
+        else:
+            model = width_rate("exponential", p, q, mu=1.0, r=r)
+            assert (model.kind, model.mu, model.r, model.b) == ("exp", 1.0, r, b)
+
     def test_analytic_entire(self):
         for r in (1.0, 2.0):
             model = width_rate("exponential", 3.0, 1.5, mu=2.0, r=r)
