@@ -97,6 +97,8 @@ def _coerce(key, value, typ):
         if typ is list:
             if isinstance(value, str):
                 value = [v for v in value.replace(",", " ").split() if v]
+            if not isinstance(value, list):
+                raise ConfigError(f"{key!r} must be an array or a string, got {value!r}")
             if any(isinstance(v, bool) for v in value):
                 raise ConfigError(f"{key!r} entries must be numbers, got {value!r}")
             values = [float(v) if "." in str(v) or "e" in str(v).lower() else int(v) for v in value]
@@ -107,8 +109,12 @@ def _coerce(key, value, typ):
                 if any(abs(v) > MAX_LIST_ENTRY for v in values):
                     raise ConfigError(f"{key!r} entries must not exceed {MAX_LIST_ENTRY} in size")
             return values
-        if typ is bool and isinstance(value, str):
-            return value.lower() in ("1", "true", "yes")
+        if typ is bool:
+            if isinstance(value, str) and value.lower() in ("1", "true", "yes", "0", "false", "no"):
+                return value.lower() in ("1", "true", "yes")
+            if not isinstance(value, bool):
+                raise ConfigError(f"{key!r} must be a boolean, got {value!r}")
+            return value
         if typ in (int, float) and isinstance(value, bool):
             raise ConfigError(f"{key!r} must be a number, got {value!r}")
         if typ is int and isinstance(value, float) and not value.is_integer():

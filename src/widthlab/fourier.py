@@ -116,24 +116,13 @@ def default_grid_size(degree):
     return max(256, 8 * (degree + 1))
 
 
-def _analyze_rows(samples, m):
-    """Degree-m partial-sum coefficient rows (a0, a, b) of uniform-grid sample rows.
-
-    The samples lie along the last axis; any leading axes are batch axes.
-    """
-    samples = np.asarray(samples, dtype=float)
-    n = samples.shape[-1]
-    if n < 2 * m + 1:
-        raise GridTooCoarseError(f"need at least {2 * m + 1} samples for degree {m}, got {n}")
-    spec = np.fft.rfft(samples, axis=-1) / n
-    return np.concatenate(
-        (spec[..., :1].real, 2.0 * spec[..., 1 : m + 1].real, -2.0 * spec[..., 1 : m + 1].imag), axis=-1
-    )
-
-
 def analyze(f, m):
     """Degree-m Fourier partial sum of f by discrete quadrature (projection S_m)."""
-    return TrigPoly.from_coeffs(_analyze_rows(f.samples, m))
+    n = f.size
+    if n < 2 * m + 1:
+        raise GridTooCoarseError(f"need at least {2 * m + 1} samples for degree {m}, got {n}")
+    spec = np.fft.rfft(f.samples) / n
+    return TrigPoly(spec[0].real, 2.0 * spec[1 : m + 1].real, -2.0 * spec[1 : m + 1].imag)
 
 
 def _multiplier_rows(kernel, coeffs):

@@ -2,21 +2,16 @@
 
 _lq_regress is the package's one L_q solver: batched iteratively reweighted
 least squares (Burrus, Barreto & Selesnick, IEEE TSP 1994) over data rows
-sharing one basis.  best_approx_rows runs it on the 2n+1 trigonometric basis
-coefficients of many sample rows at once, warm-started from their Fourier
-partial sums (already the exact q = 2 minimizers); best_approx is its
-one-row case.  The p = 1 brute-force widths run it on the vertices of the
-l_1 ball.
+sharing one basis.  best_approx runs it on one sample row's 2n+1
+trigonometric basis coefficients, warm-started from the Fourier partial sum
+(already the exact q = 2 minimizer).  The p = 1 brute-force widths run it on
+the vertices of the l_1 ball.
 """
 
 import numpy as np
 
-from .errors import (
-    GridTooCoarseError,
-    InvalidExponentError,
-    NonconvergenceError,
-)
-from .fourier import TrigPoly, _analyze_rows, analyze, synthesize_rows
+from .errors import InvalidExponentError, NonconvergenceError
+from .fourier import TrigPoly, analyze, synthesize_rows
 
 QUADRATURE_TOL = 1e-10
 QUADRATURE_CAP = 2**16
@@ -24,8 +19,8 @@ QUADRATURE_CAP = 2**16
 MZ_SCREEN_TOL = 1e-5
 MZ_BAND = 100.0
 # Most samples synthesized at once: a grid level's rows run in blocks of at
-# most QUADRATURE_BLOCK samples.  It also bounds one block of best_approx_rows'
-# weighted basis.
+# most QUADRATURE_BLOCK samples.  It also bounds one group of the widths
+# ascent's problems.
 QUADRATURE_BLOCK = 2**20
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 200
@@ -67,40 +62,31 @@ def _power_sums(coeffs, n_grid, p, shift=0.0):
     return np.concatenate(sums).reshape(coeffs.shape[:-1])
 
 
-def _grid_lp(coeffs, n_grid, p):
-    """Trapezoidal L_p norms of coefficient rows (a0, a, b) on an n_grid-point grid."""
-    return (2.0 * np.pi / n_grid * _power_sums(coeffs, n_grid, p)) ** (1.0 / p)
-
-
 def _quadrature_lp(coeffs, p, tol=QUADRATURE_TOL):
-    """L_p norms of coefficient rows (a0, a, b), refining a shared grid until stable.
+    """L_p norms of coefficient rows (a0, a, b) on a shared grid ladder.
 
     Returns the norms, the final grid and each row's change over the last
-    doubling.  |t|^p is not band-limited for non-even p, so the grid is
-    doubled until no row's norm moves by more than tol relative, or the grid
-    reaches QUADRATURE_CAP; the change is inf where no doubling ran.  The
-    ladder starts on a power of two, so it stops at the cap exactly.  It is
-    nested: each doubling synthesizes only the midpoints of the old grid and
-    adds their power sums to the old ones.  For even integer p, |t|^p is a
-    trig polynomial, and one exact grid suffices: the change is 0, or inf
-    where the cap stops the grid short of exact.
+    doubling.  The ladder starts on the least power of two >= max(256,
+    4(m + 1)) and doubles no grid past QUADRATURE_CAP, which it reaches
+    exactly (a degree m above 16383 starts beyond the cap and stays on its
+    start grid).  For even integer p, |t|^p is a trig polynomial of degree p*m,
+    so the ladder doubles straight to the first grid above p*m, which
+    integrates it exactly: the change is 0, or inf where the cap stops the
+    grid short.  For other p, |t|^p is not band-limited, so the grid doubles
+    until no row's norm moves by more than tol relative, or it reaches the
+    cap; the change is inf where no doubling ran.  This ladder is nested:
+    each doubling synthesizes only the midpoints of the old grid and adds
+    their power sums to the old ones.
     """
     m = (coeffs.shape[-1] - 1) // 2
-    # Even integer p: |t|^p has degree p*m, so the first grid with more than
-    # p*m points integrates it exactly (below the cap, which bounds the work
-    # for huge p).
-    if p == int(p) and int(p) % 2 == 0:
-        n_grid = max(256, 4 * (m + 1))
-        while n_grid <= p * m and n_grid < QUADRATURE_CAP:
-            n_grid *= 2
-        norms = _grid_lp(coeffs, n_grid, p)
-        return norms, n_grid, np.full(norms.shape, 0.0 if n_grid > p * m else np.inf)
-    # The least power of two >= max(256, 4(m + 1)).
+    even = p == int(p) and int(p) % 2 == 0
     n_grid = max(256, 1 << (4 * m + 3).bit_length())
+    while even and n_grid <= p * m and n_grid < QUADRATURE_CAP:
+        n_grid *= 2
     sums = _power_sums(coeffs, n_grid, p)
     cur = (2.0 * np.pi / n_grid * sums) ** (1.0 / p)
-    change = np.full(cur.shape, np.inf)
-    while n_grid < QUADRATURE_CAP:
+    change = np.full(cur.shape, 0.0 if even and n_grid > p * m else np.inf)
+    while not even and n_grid < QUADRATURE_CAP:
         sums = sums + _power_sums(coeffs, n_grid, p, shift=0.5)
         n_grid *= 2
         prev, cur = cur, (2.0 * np.pi / n_grid * sums) ** (1.0 / p)
@@ -160,48 +146,29 @@ def _lq_regress(phi, x, q, c):
     return c * scale, False
 
 
-def best_approx_rows(samples, n, q, start=None):
-    """Best approximations from T_n in L_q of sample rows on one uniform grid.
-
-    Returns the L_q errors and the argmin coefficient rows (a0, a, b).  The
-    start rows default to the Fourier partial sums, already the q = 2
-    answers; other q reweight from there (_lq_regress), in blocks of rows
-    whose weighted basis (rows x grid points x basis functions) holds at most
-    QUADRATURE_BLOCK samples.  Convex in the coefficients for 1 < q < infinity.
-    """
-    if not 1.0 < q < np.inf:
-        raise InvalidExponentError(f"q must lie in (1, inf), got {q}")
-    samples = np.asarray(samples, dtype=float)
-    size = samples.shape[-1]
-    if size < 2 * n + 1:
-        raise GridTooCoarseError(f"grid of {size} points too coarse for degree {n}")
-
-    c = _analyze_rows(samples, n) if start is None else start
-    phi = _design_matrix(2.0 * np.pi * np.arange(size) / size, n)
-    converged = True
-    if q != 2.0:
-        step = max(1, QUADRATURE_BLOCK // phi.size)
-        blocks = [
-            _lq_regress(phi, samples[i : i + step], q, c[i : i + step]) for i in range(0, len(samples), step)
-        ]
-        c = np.concatenate([block for block, _ in blocks])
-        converged = all(ok for _, ok in blocks)
-    errors = _trapezoid_lp(samples - c @ phi.T, q)
-    if not converged:
-        raise NonconvergenceError(
-            "best_approx IRLS did not converge",
-            diagnostics={"iterations": IRLS_MAX_ITER, "error": float(np.max(errors)), "q": q, "n": n},
-        )
-    return errors, c
-
-
 def best_approx(f, n, q):
     """Best approximation of f from T_n in L_q; returns (error, argmin).
 
-    The one-row case of best_approx_rows, started from analyze(f, n).
+    Starts from the Fourier partial sum analyze(f, n), already the q = 2
+    answer; other q reweight from there (_lq_regress).  Convex in the
+    coefficients for 1 < q < infinity.
     """
-    (err,), (c,) = best_approx_rows(f.samples[None, :], n, q, analyze(f, n).coeff_vector()[None, :])
-    return float(err), TrigPoly.from_coeffs(c)
+    c = analyze(f, n).coeff_vector()[None, :]
+    if not 1.0 < q < np.inf:
+        raise InvalidExponentError(f"q must lie in (1, inf), got {q}")
+    phi = _design_matrix(f.grid, n)
+    converged = True
+    if q != 2.0:
+        c, converged = _lq_regress(phi, f.samples[None, :], q, c)
+    # The 2-D product, as in _lq_regress: the 1-D c[0] @ phi.T can round
+    # differently in the last place.
+    err = float(_trapezoid_lp(f.samples - c @ phi.T, q)[0])
+    if not converged:
+        raise NonconvergenceError(
+            "best_approx IRLS did not converge",
+            diagnostics={"iterations": IRLS_MAX_ITER, "error": err, "q": q, "n": n},
+        )
+    return err, TrigPoly.from_coeffs(c[0])
 
 
 def _check_mz(m, p):

@@ -39,6 +39,11 @@ class TestBuildConfig:
         with pytest.raises(ConfigError):
             build_config("pipeline", {"bogus": 1}, {})
 
+    def test_boolean_strings_in_any_case(self):
+        for value, expected in [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False),
+                                ("NO", False), (True, True), (False, False)]:
+            assert build_config("catalog", {"all": value}, {})["all"] is expected
+
     def test_list_coercion_from_strings(self):
         config = build_config("pipeline", {}, {"n_list": ["8", "16"]})
         assert config["n_list"] == [8, 16]
@@ -46,10 +51,12 @@ class TestBuildConfig:
     @pytest.mark.parametrize(
         "file_config",
         [{"m": 5.9}, {"restarts": 2.7}, {"m": math.inf}, {"truncation": True}, {"p": False},
-         {"n_list": [True]}, {"m_list": [4, False]}, {"seed": True}, {"seed": -1}],
+         {"n_list": [True]}, {"m_list": [4, False]}, {"seed": True}, {"seed": -1},
+         {"all": [0]}, {"all": 0.5}, {"all": 2}, {"all": "garbage"}, {"plot": "garbage"}, {"plot": 0},
+         {"n_list": {"3": 1}}, {"m_list": {"4": 1}}],
     )
     def test_bad_number_rejected(self, file_config):
-        subcommand = next(s for s, schema in cli.SCHEMAS.items() if set(file_config) <= set(schema) | {"seed"})
+        subcommand = next(s for s, schema in cli.SCHEMAS.items() if set(file_config) <= set(schema) | {"seed", "plot"})
         with pytest.raises(ConfigError):
             build_config(subcommand, file_config, {})
 
@@ -136,8 +143,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "content, code",
-        [(None, 4), (b"{", 2), (b"\xff\xfe", 2), (b"[1, 2]", 2), (b"null", 2), (b"3", 2)],
-        ids=["missing", "bad-json", "not-text", "array", "null", "number"],
+        [(None, 4), (b"{", 2), (b"\xff\xfe", 2), (b"[1, 2]", 2), (b"null", 2), (b"3", 2),
+         (b'{"all": [0]}', 2), (b'{"plot": "garbage"}', 2)],
+        ids=["missing", "bad-json", "not-text", "array", "null", "number", "all-array", "plot-string"],
     )
     def test_config_file(self, tmp_path, capsys, content, code):
         cfg = tmp_path / "c.json"
@@ -470,15 +478,28 @@ class TestPipelineCommand:
         assert not out.exists()
 
     def test_config_round_trip_from_report(self, tmp_path):
-        out1 = tmp_path / "first"
-        assert run(["pipeline", "--n-list", "8", "32", "--out", str(out1)]) == 0
-        echoed = json.loads(read(out1 / "report.json"))["config"]
-        cfg = tmp_path / "echo.json"
-        out2 = tmp_path / "second"
-        echoed["out"] = str(out2)
-        cfg.write_text(json.dumps(echoed))
-        assert run(["pipeline", "--config", str(cfg)]) == 0
-        assert read(out1 / "results.csv") == read(out2 / "results.csv")
+        # One echo per subcommand, with catalog --all and a --no-plot run:
+        # the config coercion accepts every value report.json writes.
+        runs = {
+            "approx": ["--n-list", "8", "16", "32", "64", "128", "256"],
+            "widths": ["--m", "4", "--n-list", "1", "2", "--p", "1.5", "--q", "3", "--restarts", "2"],
+            "pipeline": ["--n-list", "8", "32"],
+            "catalog": ["--all"],
+            "fit": ["--input", str(tmp_path / "approx-first" / "results.csv")],
+            "mz": ["--p-list", "1.5", "--m-list", "4", "--trials", "5", "--no-plot"],
+        }
+        for subcommand, args in runs.items():
+            out1, out2 = tmp_path / f"{subcommand}-first", tmp_path / f"{subcommand}-second"
+            assert run([subcommand, *args, "--out", str(out1)]) == 0
+            echoed = json.loads(read(out1 / "report.json"))["config"]
+            cfg = tmp_path / f"{subcommand}-echo.json"
+            echoed["out"] = str(out2)
+            cfg.write_text(json.dumps(echoed))
+            assert run([subcommand, "--config", str(cfg)]) == 0
+            assert read(out1 / "results.csv") == read(out2 / "results.csv")
+            assert (out2 / "plot.svg").exists() == (out1 / "plot.svg").exists()
+        assert (tmp_path / "approx-second" / "plot.svg").exists()
+        assert not (tmp_path / "mz-second" / "plot.svg").exists()
 
 
 class TestCatalogCommand:
@@ -807,11 +828,11 @@ class TestMzCommand:
         out = tmp_path / "out"
         assert run(["mz", "--p-list", "1.5", "2", "--m-list", "4", "128", "--trials", "20", "--out", str(out)]) == 0
         quadrature = json.loads(read(out / "report.json"))["report"]["quadrature"]
-        # p = 2: the first exact grid.  p = 1.5: the ladder converges at
-        # m = 4 and stops at the cap, exactly 2^16 points, at m = 128.
+        # p = 2: the first exact grid, a power of two.  p = 1.5: the ladder
+        # converges at m = 4 and stops at the cap, exactly 2^16 points, at m = 128.
         assert quadrature == {
             "1.5": {"4": {"grid": 65536, "converged": True}, "128": {"grid": 65536, "converged": False}},
-            "2": {"4": {"grid": 256, "converged": True}, "128": {"grid": 516, "converged": True}},
+            "2": {"4": {"grid": 256, "converged": True}, "128": {"grid": 1024, "converged": True}},
         }
 
     @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from widthlab.fourier import GridFunction, eval_poly, synthesize_rows
 from widthlab.norms import (
     QUADRATURE_BLOCK,
     QUADRATURE_CAP,
-    _grid_lp,
     _power_sums,
     _quadrature_lp,
     _random_unit_polys,
@@ -84,7 +83,8 @@ class TestQuadrature:
         rows = block_rows + 1 + extra_rows % block_rows
         coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
         whole = _trapezoid_lp(synthesize_rows(coeffs, n_grid), p)
-        assert np.array_equal(_grid_lp(coeffs, n_grid, p), whole)
+        blocked = (2.0 * np.pi / n_grid * _power_sums(coeffs, n_grid, p)) ** (1.0 / p)
+        assert np.array_equal(blocked, whole)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -103,8 +103,8 @@ class TestQuadrature:
                 mp.setattr(norms, "QUADRATURE_BLOCK", block)
                 assert np.array_equal(_power_sums(coeffs, n_grid, p, shift), whole)
 
-    # p = 1.5 runs the ladder to the cap; p = 2^10 transforms one exact grid
-    # at the cap.  `workers` quadratures running at once (in separate
+    # p = 1.5 runs the ladder to the cap; p = 2^10 transforms one grid at
+    # the cap, which is not exact at p*m = 2^16.  `workers` quadratures running at once (in separate
     # processes, say) each get QUADRATURE_BLOCK // workers samples.
     @pytest.mark.parametrize("p", [1.5, 2.0**10])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -131,10 +131,15 @@ class TestQuadrature:
         assert any(rows < 200 for rows, _ in calls)
         assert all(rows == 1 or rows * n_grid <= block for rows, n_grid in calls)
 
-    # m = 64, p = 6: the start grid 4(m+1) = 260 is below 6m = 384, and 520
-    # is the first grid on the doubling ladder that integrates |t|^6 exactly.
-    # m = 4, p = 2^20: the exact grid lies beyond the cap, which stops the ladder.
-    @pytest.mark.parametrize("m, p, grid", [(64, 6.0, 520), (4, 2.0**20, QUADRATURE_CAP)])
+    # m = 64, p = 6: the start grid 512, the least power of two >= 4(m+1) =
+    # 260, already lies above 6m = 384, so it integrates |t|^6 exactly.
+    # m = 4, p = 2^20: the exact grid lies beyond the cap, which stops the
+    # ladder; so do m = 100, p = 1000 and m = 64, p = 2^10, where a ladder
+    # started off a power of two would pass the cap.
+    @pytest.mark.parametrize(
+        "m, p, grid", [(64, 6.0, 512), (4, 2.0**20, QUADRATURE_CAP), (100, 1000.0, QUADRATURE_CAP),
+                       (64, 2.0**10, QUADRATURE_CAP)]
+    )
     def test_even_p_transforms_one_grid(self, monkeypatch, m, p, grid):
         grids = []
 
@@ -145,8 +150,10 @@ class TestQuadrature:
         monkeypatch.setattr(norms, "synthesize_rows", recording)
         # Scaled so that |t|^(2^20) underflows to 0 instead of overflowing.
         coeffs = 0.1 * _random_unit_polys(m, 8, np.random.default_rng(5))
-        _quadrature_lp(coeffs, p)
-        assert grids == [grid]
+        _, final_grid, change = _quadrature_lp(coeffs, p)
+        assert grids == [grid] == [final_grid]
+        # 0 on an exact grid, inf where the cap stops short of one.
+        assert np.all(change == (0.0 if grid > p * m else math.inf))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -169,10 +176,10 @@ class TestQuadrature:
         n_grid = 256
         while n_grid < 4 * (m + 1):
             n_grid *= 2
-        prev = _grid_lp(coeffs, n_grid, p)
+        prev = (2.0 * np.pi / n_grid * _power_sums(coeffs, n_grid, p)) ** (1.0 / p)
         while n_grid < QUADRATURE_CAP:
             n_grid *= 2
-            cur = _grid_lp(coeffs, n_grid, p)
+            cur = (2.0 * np.pi / n_grid * _power_sums(coeffs, n_grid, p)) ** (1.0 / p)
             if np.all(np.abs(cur - prev) <= norms.QUADRATURE_TOL * cur):
                 return cur, n_grid
             prev = cur
@@ -232,14 +239,14 @@ class TestBestApprox:
         rows=st.integers(1, 4),
     )
     def test_parseval_tail_property(self, seed, shape, rows):
-        # err^2 = pi * sum_{k>n} (a_k^2 + b_k^2), for best_approx and for the
-        # batched rows alike.
+        # err^2 = pi * sum_{k>n} (a_k^2 + b_k^2), for every row, sampled
+        # alone or by the batched synthesis.
         degree, n = shape
         coeffs = np.random.default_rng(seed).standard_normal((rows, 2 * degree + 1))
         a, b = coeffs[:, 1 : degree + 1], coeffs[:, degree + 1 :]
         tails = math.pi * np.sum(a[:, n:] ** 2 + b[:, n:] ** 2, axis=1)
-        errors, _ = norms.best_approx_rows(synthesize_rows(coeffs, 256), n, 2.0)
-        np.testing.assert_allclose(errors**2, tails, rtol=1e-9, atol=1e-20)
+        errors = [best_approx(GridFunction(x), n, 2.0)[0] for x in synthesize_rows(coeffs, 256)]
+        np.testing.assert_allclose(np.square(errors), tails, rtol=1e-9, atol=1e-20)
         err, _ = best_approx(synthesize(TrigPoly(coeffs[0, 0], a[0], b[0]), 256), n, 2.0)
         assert err**2 == pytest.approx(tails[0], rel=1e-9, abs=1e-20)
 
