@@ -21,7 +21,7 @@ _HOMES = {
         "TruncationExceededError", "UncoveredRegimeError", "WidthlabError",
     ),
     "fourier": (
-        "GridFunction", "TrigPoly", "analyze", "apply_multiplier", "default_grid_size", "eval_poly", "synthesize",
+        "GridFunction", "TrigPoly", "analyze", "apply_multiplier", "eval_poly", "synthesize",
     ),
     "norms": ("best_approx", "lp_norm", "mz_ratio_stats", "poly_lp_norm"),
     "rates": (

@@ -1,8 +1,9 @@
 """Batch experiment driver.
 
 Subcommands: approx, widths, pipeline, catalog, fit, mz.  Each run validates
-its configuration (JSON file plus flat flag overrides; flags win), executes,
-and writes results.csv + report.json (+ plot.svg) into the output directory.
+its configuration (JSON file plus flat flag overrides; flags win), and its
+runner returns (rows, header, report).  write_outputs writes results.csv +
+report.json (+ plot.svg, drawn from the rows) into the output directory.
 Identical config and seed give byte-identical CSV and JSON.
 
 Exit codes: 0 ok, 2 config error (also a request too large for memory),
@@ -108,6 +109,7 @@ def _coerce(key, value, typ):
                     raise ConfigError(f"{key!r} entries must be integers, got {value!r}")
                 if any(abs(v) > MAX_LIST_ENTRY for v in values):
                     raise ConfigError(f"{key!r} entries must not exceed {MAX_LIST_ENTRY} in size")
+                values = [int(v) for v in values]
             return values
         if typ is bool:
             if isinstance(value, str) and value.lower() in ("1", "true", "yes", "0", "false", "no"):
@@ -188,21 +190,21 @@ def run_approx(config):
     quantity = "en_exact_l2" if p == q == 2.0 else "en_lower_search"
 
     rows, searches = [], []
-    for n in (int(n) for n in config["n_list"]):
+    for n in config["n_list"]:
         search = en_lower_search(kernel, p, q, n)
         rows.append((n, quantity, search.value))
         # Per n: the winning harmonic k (or none).
         searches.append({"n": n, "winner": search.winner, "k": search.k})
     report = {"quantities": [quantity], "search": searches}
-    return rows, ("n", "quantity", "value"), report, _series_from_rows(rows)
+    return rows, ("n", "quantity", "value"), report
 
 
 def run_widths(config):
-    """Widths of l_p balls in l_q: exact at n = 0, m - 1, m, at q <= p and at (p, q) = (1, 2), else a brute-force upper bound."""
+    """Widths of l_p balls in l_q: exact at n = 0, m - 1, m, at q <= p and at (p, q) = (1, 2), else a brute-force upper
+    bound at p = 1 and an upper estimate at p > 1."""
     from .rates import BallWidthInstance, closed_form_width, coordinate_subspace_bound, phi_gluskin
     _require(config, "m", "n_list")
-    m, p, q = config["m"], config["p"], config["q"]
-    n_list = [int(n) for n in config["n_list"]]
+    m, n_list, p, q = config["m"], config["n_list"], config["p"], config["q"]
     if config["restarts"] < 1 or min(config[k] for k in ("inner_starts", "final_starts", "max_iter")) < 0:
         raise ConfigError("widths needs restarts >= 1 and inner_starts, final_starts, max_iter >= 0")
 
@@ -241,17 +243,16 @@ def run_widths(config):
         "medians": [ests[n].diagnostics.get("median") for n in n_list],
         "stops": [ests[n].diagnostics.get("stops", []) for n in n_list],
     }
-    return rows, ("n", "quantity", "value"), report, _series_from_rows(rows)
+    return rows, ("n", "quantity", "value"), report
 
 
 def run_pipeline(config):
     """Logarithmic lower bound of the polylog class by projection, sampling and the finite width."""
     from .rates import lower_bound_pipeline
     _require(config, "n_list")
-    n_list = [int(n) for n in config["n_list"]]
 
     reports = []
-    for n in n_list:
+    for n in config["n_list"]:
         rep = lower_bound_pipeline(config["gamma"], config["p"], config["q"], n, m_override=config["m_override"])
         if rep.notes:
             _warn(f"pipeline {rep.notes} for n={n}, q={config['q']:g}")
@@ -263,10 +264,7 @@ def run_pipeline(config):
         rows.append((rep.n, "phi_value", rep.phi_value))
         rows.append((rep.n, "lower_bound", rep.lower_bound))
     report = {"notes": [rep.notes for rep in reports if rep.notes]}
-    series = [
-        ("lower_bound", [rep.n for rep in reports], [rep.lower_bound for rep in reports])
-    ]
-    return rows, ("n", "quantity", "value"), report, series
+    return rows, ("n", "quantity", "value"), report
 
 
 def run_catalog(config):
@@ -291,7 +289,7 @@ def run_catalog(config):
         for rec in records
     ]
     header = ("family", "p", "q", "params", "width_rate", "en_rate", "verdict", "regime")
-    return rows, header, {"records": records}, []
+    return rows, header, {"records": records}
 
 
 def run_fit(config):
@@ -308,7 +306,7 @@ def run_fit(config):
     rows += [(n, "fitted", float(model(n))) for n, _ in points]
     # _asdict: json would write the NamedTuple itself as an array.
     report = {"model": {**model._asdict(), "describe": model.describe()}, "residual": residual}
-    return rows, ("n", "quantity", "value"), report, _series_from_rows(rows)
+    return rows, ("n", "quantity", "value"), report
 
 
 def run_mz(config):
@@ -316,34 +314,20 @@ def run_mz(config):
     import numpy as np
     from .norms import mz_ratio_stats
     _require(config, "p_list", "m_list")
-    cells = [(float(p), int(m)) for p in config["p_list"] for m in config["m_list"]]
-    seeds = np.random.SeedSequence(config["seed"]).spawn(len(cells))
-
-    results = [mz_ratio_stats(m, p, config["trials"], s) for (p, m), s in zip(cells, seeds)]
-    rows = []
+    cells = [(float(p), m) for p in config["p_list"] for m in config["m_list"]]
+    # Each distinct cell is drawn once, on the seed of its first appearance;
+    # its rows repeat for every listed copy.
+    distinct = list(dict.fromkeys(cells))
+    seeds = np.random.SeedSequence(config["seed"]).spawn(len(distinct))
+    results = {(p, m): mz_ratio_stats(m, p, config["trials"], s) for (p, m), s in zip(distinct, seeds)}
+    rows = [(m, p, name, value) for p, m in cells for name, value in zip(("min_ratio", "max_ratio"), results[p, m][:2])]
     constants, quadrature = {}, {}
-    for (p, m), (lo, hi, quad) in zip(cells, results):
-        rows.append((m, fmt(p), "min_ratio", lo))
-        rows.append((m, fmt(p), "max_ratio", hi))
+    for (p, m), (lo, hi, quad) in results.items():
         constants.setdefault(fmt(p), {})[str(m)] = {"min": lo, "max": hi}
         # The final grid of the extremes' L_p quadrature, and whether it
         # converged or stopped at the cap.
         quadrature.setdefault(fmt(p), {})[str(m)] = quad
-    series = []
-    for p in sorted({p for p, _ in cells}):
-        ms = [m for pp, m in cells if pp == p]
-        his = [r[1] for (pp, _), r in zip(cells, results) if pp == p]
-        series.append((f"max p={p:g}", ms, his))
-    return rows, ("m", "p", "quantity", "value"), {"constants": constants, "quadrature": quadrature}, series
-
-
-def _series_from_rows(rows):
-    by_quantity = {}
-    for n, quantity, value in rows:
-        by_quantity.setdefault(quantity, ([], []))
-        by_quantity[quantity][0].append(n)
-        by_quantity[quantity][1].append(value)
-    return [(q, xs, ys) for q, (xs, ys) in sorted(by_quantity.items())]
+    return rows, ("m", "p", "quantity", "value"), {"constants": constants, "quadrature": quadrature}
 
 
 RUNNERS = {
@@ -356,10 +340,9 @@ RUNNERS = {
 }
 
 
-def write_outputs(out_dir, subcommand, config, rows, header, report, series):
+def write_outputs(out_dir, subcommand, config, rows, header, report):
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "results.csv")
-    with open(csv_path, "w", newline="") as fh:
+    with open(os.path.join(out_dir, "results.csv"), "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -375,9 +358,16 @@ def write_outputs(out_dir, subcommand, config, rows, header, report, series):
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report_doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    if config.get("plot") and series:
+    # The plot: a table whose last column is 'value' draws one polyline per
+    # distinct key between its first column and 'value', against the first column.
+    lines = {}
+    if config.get("plot") and header[-1] == "value":
+        for x, *key, y in rows:
+            lines.setdefault(tuple(key), []).append((x, y))
+    if lines:
         from .svg import render_plot
         try:
+            series = [(" ".join(fmt(k) for k in key), *zip(*points)) for key, points in sorted(lines.items())]
             doc = render_plot(series, title=subcommand)
             with open(os.path.join(out_dir, "plot.svg"), "w") as fh:
                 fh.write(doc)
@@ -446,12 +436,12 @@ def main(argv=None):
     try:
         config = build_config(subcommand, _read_config(args.config), overrides)
         try:
-            rows, header, report, series = RUNNERS[subcommand](config)
+            rows, header, report = RUNNERS[subcommand](config)
         except NonconvergenceError as exc:
-            rows, header, series = [], ("n", "quantity", "value"), []
+            rows, header = [], ("n", "quantity", "value")
             report = {"nonconvergence": True, "diagnostics": exc.diagnostics}
             exit_code, _ = _failure(exc, subcommand)
-        write_outputs(config["out"], subcommand, config, rows, header, report, series)
+        write_outputs(config["out"], subcommand, config, rows, header, report)
     except (WidthlabError, MemoryError, OSError) as exc:
         exit_code, message = _failure(exc, subcommand)
         print(message, file=sys.stderr)

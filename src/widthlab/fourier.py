@@ -71,12 +71,15 @@ class GridFunction:
         return 2.0 * np.pi * np.arange(self.size) / self.size
 
 
+def _design_matrix(x, n):
+    """The basis 1, cos kx, sin kx (k = 1..n) at scalar or array x, along a new last axis."""
+    kx = np.multiply.outer(np.asarray(x, dtype=float), np.arange(1, n + 1))
+    return np.concatenate((np.ones(kx.shape[:-1] + (1,)), np.cos(kx), np.sin(kx)), axis=-1)
+
+
 def eval_poly(t, x):
     """Evaluate t at scalar or array x."""
-    x = np.asarray(x, dtype=float)
-    k = np.arange(1, t.degree + 1)
-    kx = np.multiply.outer(x, k)
-    return t.a0 + np.cos(kx) @ t.a + np.sin(kx) @ t.b
+    return _design_matrix(x, t.degree) @ t.coeff_vector()
 
 
 def synthesize_rows(coeffs, n_grid, shift=0.0):
@@ -106,14 +109,9 @@ def synthesize_rows(coeffs, n_grid, shift=0.0):
 
 def synthesize(t, n_grid=None):
     """Sample t on a uniform grid (default fine enough for exact round trips)."""
-    if n_grid is None:
-        n_grid = default_grid_size(t.degree)
+    if n_grid is None:  # oversampled: headroom for |.|^p integrands
+        n_grid = max(256, 8 * (t.degree + 1))
     return GridFunction(synthesize_rows(t.coeff_vector(), n_grid))
-
-
-def default_grid_size(degree):
-    """Oversampled default: exact for the degree plus headroom for |.|^p integrands."""
-    return max(256, 8 * (degree + 1))
 
 
 def analyze(f, m):
@@ -125,21 +123,12 @@ def analyze(f, m):
     return TrigPoly(spec[0].real, 2.0 * spec[1 : m + 1].real, -2.0 * spec[1 : m + 1].imag)
 
 
-def _multiplier_rows(kernel, coeffs):
-    """Multiplier action on coefficient rows (a0, a, b): each harmonic scaled
-    by lambda_k, the constant term dropped."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    degree = (coeffs.shape[-1] - 1) // 2
-    if degree > kernel.truncation:
-        raise TruncationExceededError(
-            f"degree {degree} exceeds kernel truncation {kernel.truncation}"
-        )
-    lam = np.asarray(kernel.lambdas(degree))
-    a, b = coeffs[..., 1 : degree + 1], coeffs[..., degree + 1 :]
-    return np.concatenate((np.zeros_like(coeffs[..., :1]), lam * a, lam * b), axis=-1)
-
-
 def apply_multiplier(kernel, phi):
-    """Coefficientwise multiplier action; the constant term is dropped (the
-    harmonic sums start at k=1)."""
-    return TrigPoly.from_coeffs(_multiplier_rows(kernel, phi.coeff_vector()))
+    """Coefficientwise multiplier action: each harmonic scaled by lambda_k,
+    the constant term dropped (the harmonic sums start at k=1)."""
+    if phi.degree > kernel.truncation:
+        raise TruncationExceededError(
+            f"degree {phi.degree} exceeds kernel truncation {kernel.truncation}"
+        )
+    lam = np.asarray(kernel.lambdas(phi.degree))
+    return TrigPoly(0.0, lam * phi.a, lam * phi.b)

@@ -11,7 +11,7 @@ the vertices of the l_1 ball.
 import numpy as np
 
 from .errors import InvalidExponentError, NonconvergenceError
-from .fourier import TrigPoly, analyze, synthesize_rows
+from .fourier import TrigPoly, _design_matrix, analyze, synthesize_rows
 
 QUADRATURE_TOL = 1e-10
 QUADRATURE_CAP = 2**16
@@ -100,12 +100,6 @@ def poly_lp_norm(t, p):
     """L_p norm of a trigonometric polynomial by grid-refined quadrature."""
     _check_p(p)
     return float(_quadrature_lp(t.coeff_vector(), p)[0])
-
-
-def _design_matrix(x, n):
-    k = np.arange(1, n + 1)
-    kx = np.multiply.outer(x, k)
-    return np.hstack([np.ones((len(x), 1)), np.cos(kx), np.sin(kx)])
 
 
 def _lq_regress(phi, x, q, c):

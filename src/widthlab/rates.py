@@ -227,7 +227,7 @@ class BallWidthInstance:
 
 class WidthEstimate(NamedTuple):
     value: float
-    direction: str  # 'upper-bound' or 'two-sided' (exact)
+    direction: str  # 'two-sided' (exact), 'upper-bound' (proven) or 'upper-estimate'
     method: str
     diagnostics: dict
 

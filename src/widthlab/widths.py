@@ -32,8 +32,8 @@ n = 0, n >= m - 1, every q <= p and (p, q) = (1, 2) are closed forms
 dual path only sees 1 < p < q < inf, where both dual exponents are finite,
 with a complement of m - n >= 2 columns.  The coordinate subspace is
 restart 0, scored by coordinate_subspace_bound, so the result never exceeds
-it.  An ascent can only underestimate a supremum, so a descended value is a
-proven upper bound where the inner problem is solved exactly: p = 1.
+it.  An ascent can only underestimate a supremum, so a descended value is an
+'upper-bound' only where the inner sup is exact, p = 1, else an 'upper-estimate'.
 """
 
 import numpy as np
@@ -226,9 +226,9 @@ def ball_widths_bruteforce(
 
     The cells rates.closed_form_width knows return its exact value,
     labelled 'two-sided' with no restarts.  The others (p < q, 1 <= n <=
-    m - 2, (p, q) != (1, 2)) must share m, p and q.  Each returns an
-    upper-bound estimate: it exhibits a concrete subspace, and is a proven
-    upper bound where its inner sup is exact, at p = 1 only.  Restart 0 is
+    m - 2, (p, q) != (1, 2)) must share m, p and q.  Each exhibits a
+    concrete subspace.  It is labelled 'upper-bound' at p = 1, where its
+    inner sup is exact, and 'upper-estimate' at p > 1.  Restart 0 is
     the coordinate subspace, scored by coordinate_subspace_bound without a
     descent, so the value never lands above that bound and restarts=1 runs
     no descent.  Restarts 1.. descend from random frames; for p > 1 on a
@@ -286,7 +286,8 @@ def ball_widths_bruteforce(
             "stops": stops[mine],
             "frame": _complement(candidates[best]) if dual else candidates[best],
         }
-        descended.append(WidthEstimate(float(values[best]), "upper-bound", "bruteforce", diagnostics))
+        label = "upper-estimate" if dual else "upper-bound"  # the inner sup is exact only at p = 1
+        descended.append(WidthEstimate(float(values[best]), label, "bruteforce", diagnostics))
     descended = iter(descended)
     return [next(descended) if est is None else est for est in results]
 

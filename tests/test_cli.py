@@ -48,6 +48,12 @@ class TestBuildConfig:
         config = build_config("pipeline", {}, {"n_list": ["8", "16"]})
         assert config["n_list"] == [8, 16]
 
+    @pytest.mark.parametrize("subcommand, key", [("approx", "n_list"), ("mz", "m_list")])
+    def test_integer_list_entries_arrive_as_ints(self, subcommand, key):
+        values = build_config(subcommand, {key: [8.0, "12"]}, {})[key]
+        assert values == [8, 12]
+        assert all(type(v) is int for v in values)
+
     @pytest.mark.parametrize(
         "file_config",
         [{"m": 5.9}, {"restarts": 2.7}, {"m": math.inf}, {"truncation": True}, {"p": False},
@@ -219,6 +225,37 @@ def write_series(path, pairs):
         writer.writerows(pairs)
 
 
+class TestPlot:
+    """plot.svg is drawn from the rows: a table whose last column is 'value'
+    gets one polyline per distinct key between its first column and 'value'."""
+
+    @pytest.mark.parametrize(
+        "args, legends",
+        [
+            (["mz", "--p-list", "1.5", "3", "--m-list", "4", "8", "--trials", "5"],
+             ["1.5 max_ratio", "1.5 min_ratio", "3 max_ratio", "3 min_ratio"]),
+            (["pipeline", "--n-list", "8", "16"], ["log_factor", "lower_bound", "m_chosen", "phi_value"]),
+            (["approx", "--n-list", "8", "16"], ["en_exact_l2"]),
+            (["widths", "--m", "4", "--n-list", "1", "2"], ["bruteforce_width", "coordinate_bound", "phi_order"]),
+            (["fit"], ["fitted", "input"]),
+            (["catalog", "--all"], None),
+        ],
+        ids=["mz", "pipeline", "approx", "widths", "fit", "catalog"],
+    )
+    def test_legends(self, tmp_path, args, legends):
+        if args == ["fit"]:
+            write_series(tmp_path / "data.csv", [(n, 2.0 * n**-1.5) for n in (8, 16, 32, 64, 128, 256, 512)])
+            args = ["fit", "--input", str(tmp_path / "data.csv")]
+        out = tmp_path / "out"
+        assert run(args + ["--out", str(out)]) == 0
+        if legends is None:  # catalog's table ends in 'regime'
+            assert not (out / "plot.svg").exists()
+            return
+        svg = read(out / "plot.svg").decode()
+        assert re.findall(r'<text x="[\d.]+" y="[\d.]+">([^<]*)</text>', svg) == legends
+        assert svg.count("<polyline ") == len(legends)
+
+
 class TestImportGraph:
     def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
         """In one new interpreter: the closed-form, fit and approx runs leave
@@ -355,7 +392,7 @@ NAMESPACE = {
         "TruncationExceededError", "UncoveredRegimeError", "WidthlabError",
     ],
     "fourier": [
-        "GridFunction", "TrigPoly", "analyze", "apply_multiplier", "default_grid_size", "eval_poly", "synthesize",
+        "GridFunction", "TrigPoly", "analyze", "apply_multiplier", "eval_poly", "synthesize",
     ],
     "norms": ["best_approx", "lp_norm", "mz_ratio_stats", "poly_lp_norm"],
     "rates": [
@@ -835,6 +872,18 @@ class TestMzCommand:
             "2": {"4": {"grid": 256, "converged": True}, "128": {"grid": 1024, "converged": True}},
         }
 
+    def test_a_cell_listed_twice_is_drawn_once(self, tmp_path):
+        """A repeated (p, m) repeats the rows of its first appearance, and a
+        run's distinct cells draw from the same seeds as without the copies."""
+        args = ["mz", "--trials", "20", "--seed", "3"]
+        assert run(args + ["--p-list", "1.5", "--m-list", "4", "8", "--out", str(tmp_path / "one")]) == 0
+        assert run(args + ["--p-list", "1.5", "1.5", "--m-list", "4", "8", "4", "--out", str(tmp_path / "many")]) == 0
+        one = read(tmp_path / "one" / "results.csv").splitlines()[1:]
+        many = read(tmp_path / "many" / "results.csv").splitlines()[1:]
+        assert many == (one + one[:2]) * 2
+        reports = [json.loads(read(tmp_path / name / "report.json"))["report"] for name in ("one", "many")]
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize(
         "args", [["--p-list", "0.5", "--m-list", "4"], ["--m-list", "0"]], ids=["p-below-1", "m-zero"]
     )
@@ -979,9 +1028,12 @@ class TestWidthsCommand:
         many = read(tmp_path / "many" / "results.csv").splitlines()
         assert many[1:4] == many[7:10] == many[10:13] == one[1:]
         report = json.loads(read(tmp_path / "many" / "report.json"))["report"]
-        assert report["directions"] == ["upper-bound", "two-sided", "upper-bound", "upper-bound"]
+        assert report["directions"] == ["upper-estimate", "two-sided", "upper-estimate", "upper-estimate"]
 
-    @pytest.mark.parametrize("p, q, label", [("3", "1.5", "two-sided"), ("1.5", "3", "upper-bound")])
+    # A descended cell is a proven upper bound only at p = 1, where its inner sup is exact.
+    @pytest.mark.parametrize(
+        "p, q, label", [("3", "1.5", "two-sided"), ("1.5", "3", "upper-estimate"), ("1", "1.5", "upper-bound")]
+    )
     def test_report_labels_each_n(self, tmp_path, p, q, label):
         args = ["widths", "--m", "5", "--n-list", "1", "2", "3", "4", "--p", p, "--q", q, "--restarts", "2"]
         assert run(args + ["--max-iter", "2", "--out", str(tmp_path)]) == 0

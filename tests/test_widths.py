@@ -200,7 +200,7 @@ class TestBruteForce:
 
     def test_diagnostics_present(self):
         est = ball_width_bruteforce(BallWidthInstance(4, 2, 1.5, 3), **FAST)
-        assert est.direction == "upper-bound"
+        assert est.direction == "upper-estimate"
         assert est.diagnostics["restarts"] == 2
         assert "median" in est.diagnostics
 
@@ -294,7 +294,7 @@ class TestBruteForce:
             widths.ball_widths_bruteforce([BallWidthInstance(5, 2, 1.5, 3), BallWidthInstance(5, 2, 1.5, 4)], **FAST)
         # Closed forms join any list.
         ests = widths.ball_widths_bruteforce([BallWidthInstance(4, 0, 2, 1), BallWidthInstance(5, 2, 1.5, 3)], **FAST)
-        assert [est.direction for est in ests] == ["two-sided", "upper-bound"]
+        assert [est.direction for est in ests] == ["two-sided", "upper-estimate"]
 
     def test_frame_spans_the_subspace(self):
         for p, q in [(1.0, 1.5), (1.5, 3.0)]:
